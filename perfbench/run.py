@@ -3,6 +3,7 @@
 Run from the root of a checkout::
 
     python3 perfbench/run.py --workload dse --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload all      # every workload, both modes
 
 Every workload is a closed loop over a seeded op stream (the program
 only ever sees the generated inputs).  ``--trace 0`` measures the
@@ -48,12 +49,16 @@ RESIDUAL_LIMIT_PCT = 10.0
 
 SETUP_REPEATS = 3
 
+WORKLOADS = ("serve", "dse", "fidelity")
+
 
 def parse(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="perfbench/run.py",
                                      description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True,
-                        choices=("serve", "dse", "fidelity"))
+                        choices=WORKLOADS + ("all",),
+                        help="one workload, or 'all' to run every workload "
+                             "untraced and traced, one process each")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -263,12 +268,31 @@ def run(workload: Any, args: argparse.Namespace) -> Dict[str, Any]:
             "failed": len(problems), "metrics": metrics}
 
 
+def run_all(args: argparse.Namespace) -> int:
+    """Every workload, untraced then traced; non-zero if any run fails."""
+    failed = []
+    for name in WORKLOADS:
+        for trace in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, __file__, "--workload", name,
+                 "--seed", str(args.seed), "--seconds", str(args.seconds),
+                 "--trace", trace], cwd=ROOT, timeout=600)
+            if done.returncode != 0:
+                failed.append(f"{name} --trace {trace}")
+    print(f"all: {2 * len(WORKLOADS) - len(failed)} of "
+          f"{2 * len(WORKLOADS)} runs passed"
+          + (f"; failed: {', '.join(failed)}" if failed else ""))
+    return 1 if failed else 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = parse(argv)
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
         print(f"perfbench: no src/repro under {ROOT}; run it from the "
               f"root of a checkout of the repository", file=sys.stderr)
         return 2
+    if args.workload == "all":
+        return run_all(args)
     sys.path.insert(0, str(ROOT / "src"))
     from dse import Dse
     from fidelity import Fidelity
