@@ -298,7 +298,7 @@ class Serve:
         fresh engine and store; every reply must match bit for bit once
         wall-clock fields are blanked.  Hits must equal the memoized
         reply of their first send.  With *tracer*, the replay of the
-        first ``len(ops)`` ops of the traced run is timed by layer."""
+        first ``trace_ops`` ops is timed by layer."""
         from repro.server import worker
         store = OUT / f"replay-{os.getpid()}"
         shutil.rmtree(store, ignore_errors=True)
