@@ -7,7 +7,6 @@ import json
 import math
 import os
 import random
-import statistics
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -52,22 +51,54 @@ def deck(rng: random.Random, items: Sequence[Any]) -> Iterator[Any]:
         yield from order
 
 
-def host_probe_ms() -> float:
-    """A fixed pure-Python plus numpy loop: a host-speed reading kept
-    beside the metrics so drift can be told from a regression.  It is
-    never used to adjust a metric."""
-    matrix = np.arange(128 * 128, dtype=np.float64).reshape(128, 128) / 1e4
-    times = []
-    for _ in range(5):
-        start = time.perf_counter()
-        total = 0
-        for i in range(100_000):
-            total += i * i
-        product = matrix
-        for _ in range(20):
-            product = product @ matrix / 128.0
-        times.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(times)
+#: Thread CPU time of one probe on a 2 GHz Xeon vCPU that the host's
+#: other tenants leave alone.  Timings are reported at that host speed.
+REFERENCE_PROBE_NS = 400_000
+
+#: A probe runs between ops once this much loop time has passed since
+#: the last one, so probing costs a few per cent of a run.
+PROBE_EVERY_NS = 20_000_000
+
+#: Probes this close to an op's start give the host speed it ran at.
+PROBE_WINDOW_NS = 250_000_000
+
+_PROBE_MATRIX = np.arange(64 * 64, dtype=np.float64).reshape(64, 64) / 1e4
+
+
+def probe_ns() -> int:
+    """Thread CPU time of a fixed pure-Python plus numpy loop.
+
+    A virtual machine sees its host's other tenants as CPU time: when
+    they slow the host, a probe takes longer by about the factor every
+    op does.  Another process on the benchmark's CPU does not lengthen
+    a probe's CPU time, so work the program defers past an op's reply
+    is not mistaken for a slower host."""
+    start = time.thread_time_ns()
+    total = 0
+    for i in range(5000):
+        total += i * i
+    product = _PROBE_MATRIX
+    for _ in range(3):
+        product = product @ _PROBE_MATRIX / 64.0
+    return time.thread_time_ns() - start
+
+
+def host_factors(at: Sequence[int],
+                 probes: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """For each instant in *at*, ``REFERENCE_PROBE_NS`` over the mean
+    probe time within ``PROBE_WINDOW_NS`` of it (the next probe if none
+    is that close).  *probes* holds ``(perf_counter_ns, probe_ns)``
+    pairs in time order."""
+    times = np.asarray([when for when, _ in probes], dtype=np.int64)
+    cumulative = np.concatenate(
+        [[0.0], np.cumsum([ns for _, ns in probes], dtype=np.float64)])
+    instants = np.asarray(at, dtype=np.int64)
+    lo = np.searchsorted(times, instants - PROBE_WINDOW_NS)
+    hi = np.minimum(np.maximum(np.searchsorted(times, instants
+                                               + PROBE_WINDOW_NS), lo + 1),
+                    len(times))
+    lo = np.minimum(lo, hi - 1)
+    return REFERENCE_PROBE_NS * (hi - lo) / (cumulative[hi] - cumulative[lo])
 
 
 def vm_hwm_mb(pid: int | str = "self") -> float:

@@ -13,6 +13,15 @@ per-layer metrics.  Simulated statistics are deterministic, so they are
 checked for equality, never timed.  Seed 1 is the default; seed 2 is
 held out for checking a claimed gain.
 
+End-to-end timings are reported at a reference host speed.  On a
+shared virtual machine, other tenants slow the host by up to 2x for
+seconds to minutes at a time, which no run length averages out, so a
+fixed probe (``common.probe_ns``) runs between ops every 20 ms of loop
+time and each op's wall time is scaled by the reference probe time over
+the mean probe time within 0.25 s of the op.  Set-up time is scaled by
+a burst of probes taken right after set-up.  The unscaled figures are
+printed beside the metrics.
+
 Metric names and units come from ``BENCHMARK.json``.  Per-layer
 ``*_ms`` metrics are self time per op of the traced run; counts and
 shares are per op too and repeat exactly for one seed.  A workload
@@ -30,12 +39,22 @@ START = time.perf_counter()
 
 import argparse  # noqa: E402 - the set-up clock starts before imports
 import json  # noqa: E402
+import os  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import dataclass, field  # noqa: E402
 from pathlib import Path  # noqa: E402
-from typing import Any, Dict, List, Optional  # noqa: E402
+from typing import Any, Dict, List, Optional, Tuple  # noqa: E402
+
+# One CPU and one BLAS thread for everything a run starts (the server,
+# its pool worker and the set-up processes inherit both).  A closed loop
+# keeps one process busy at a time, so nothing waits for the CPU; the
+# client probes the speed of the CPU the server runs on; and no wake-up
+# crosses CPUs, which on a shared virtual machine costs a varying delay.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                  MKL_NUM_THREADS="1")
+os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,6 +67,7 @@ SELF_SPANS = {"dse.chip_pareto", "dse.array_pareto", "pim.engine",
 RESIDUAL_LIMIT_PCT = 10.0
 
 SETUP_REPEATS = 3
+SETUP_PROBES = 50
 
 WORKLOADS = ("serve", "dse", "fidelity")
 
@@ -72,13 +92,29 @@ class Pass:
     """One closed-loop pass over an op stream."""
 
     ops: List[Any] = field(default_factory=list)
+    #: Per op: when it was sent, its wall time, and its share of the
+    #: window (the wall time plus drawing the op from the stream).
+    starts: List[int] = field(default_factory=list)
     walls: List[int] = field(default_factory=list)
+    loops: List[int] = field(default_factory=list)
+    #: ``(perf_counter_ns, probe_ns)`` host-speed probes between ops.
+    probes: List[Tuple[int, int]] = field(default_factory=list)
     #: Raw answers, kept only for workloads checked after the run.
     answers: List[Any] = field(default_factory=list)
     #: Canonical answers of the first ``keep`` ops (trace comparison).
     canons: List[Any] = field(default_factory=list)
     failures: List[str] = field(default_factory=list)
     window_s: float = 0.0
+
+    def scaled(self) -> Tuple[List[float], float]:
+        """Op wall times in ms and the window in s, at the reference
+        host speed."""
+        from common import host_factors
+        factors = host_factors(self.starts, self.probes)
+        return ([wall * factor / 1e6
+                 for wall, factor in zip(self.walls, factors)],
+                sum(loop * factor
+                    for loop, factor in zip(self.loops, factors)) / 1e9)
 
 
 def timed(workload: Any, stream: Any, count: Optional[int],
@@ -87,13 +123,20 @@ def timed(workload: Any, stream: Any, count: Optional[int],
     """Closed loop: run ops until *count* are done or *seconds* of loop
     time pass.  In-process workloads check each answer as it arrives;
     that check is outside both the op's timing and the window, and the
-    answer is dropped, so memory does not grow with the op count."""
+    answer is dropped, so memory does not grow with the op count.  A
+    host-speed probe runs between ops every ``PROBE_EVERY_NS`` of loop
+    time, and once at each end; probes are outside the window too."""
+    from common import PROBE_EVERY_NS, probe_ns
     from repro.core.types import ReproError
     done = into if into is not None else Pass()
     elapsed = 0
     limit = seconds * 1e9 if seconds is not None else None
+    since_probe = PROBE_EVERY_NS
     while (count is None or len(done.ops) < count) and \
             (limit is None or elapsed < limit):
+        if since_probe >= PROBE_EVERY_NS:
+            done.probes.append((time.perf_counter_ns(), probe_ns()))
+            since_probe = 0
         start = time.perf_counter_ns()
         op = next(stream)
         if tracer is not None:
@@ -106,9 +149,12 @@ def timed(workload: Any, stream: Any, count: Optional[int],
             answer = exc
         end = time.perf_counter_ns()
         elapsed += end - start
+        since_probe += end - start
         index = len(done.ops)
         done.ops.append(op)
+        done.starts.append(begin)
         done.walls.append(end - begin)
+        done.loops.append(end - start)
         if index < keep:
             done.canons.append(None if isinstance(answer, Exception)
                                else workload.canon(op, answer))
@@ -118,8 +164,18 @@ def timed(workload: Any, stream: Any, count: Optional[int],
                 done.failures.append(f"op {index}: {why}")
         else:
             done.answers.append(answer)
+    done.probes.append((time.perf_counter_ns(), probe_ns()))
     done.window_s += elapsed / 1e9
     return done
+
+
+def scaled_setup_s() -> float:
+    """Seconds since the process started, at the reference host speed
+    measured by a burst of probes right after set-up."""
+    from common import REFERENCE_PROBE_NS, probe_ns
+    elapsed = time.perf_counter() - START
+    probes = [probe_ns() for _ in range(SETUP_PROBES)]
+    return elapsed * REFERENCE_PROBE_NS * len(probes) / sum(probes)
 
 
 def setup_times(args: argparse.Namespace) -> List[float]:
@@ -167,12 +223,26 @@ def layer_metrics(workload: Any, tracer: Any, replay: Any, traced: Pass,
     return metrics
 
 
+def latency_metrics(workload: Any, ops: List[Any], walls_ms: List[float],
+                    window_s: float) -> Dict[str, float]:
+    """p90 over every op, throughput, and each op class's median."""
+    from common import p90
+    return {
+        "p90_ms": p90(walls_ms)[0],
+        "throughput_ops": len(ops) / window_s,
+        "fast_p50_ms": statistics.median(
+            wall for op, wall in zip(ops, walls_ms) if workload.fast(op)),
+        "slow_p50_ms": statistics.median(
+            wall for op, wall in zip(ops, walls_ms) if not workload.fast(op)),
+    }
+
+
 def run(workload: Any, args: argparse.Namespace) -> Dict[str, Any]:
-    from common import OUT, Mismatch, host_probe_ms, p90
+    from common import OUT, REFERENCE_PROBE_NS, Mismatch, p90
     from spans import Patches, Tracer
 
     model = workload.setup()
-    setup_s = time.perf_counter() - START
+    setup_s = scaled_setup_s()
     stream = workload.ops(args.seed)
     keep = workload.trace_ops if args.trace else 0
     main = timed(workload, stream, None, args.seconds, keep=keep)
@@ -218,16 +288,17 @@ def run(workload: Any, args: argparse.Namespace) -> Dict[str, Any]:
     print(f"workload={args.workload} seed={args.seed} ops={measured} "
           f"window_s={main.window_s:.3f} "
           f"checks_s={time.perf_counter() - checks_start:.3f}")
-    probe_ms = host_probe_ms()
-    print(f"host probe {probe_ms:.3f} ms; Table I error "
+    probe_ms = statistics.median(ns for _, ns in main.probes) / 1e6
+    print(f"host probe {probe_ms:.3f} ms (median of {len(main.probes)}, "
+          f"reference {REFERENCE_PROBE_NS / 1e6:.3f} ms); Table I error "
           f"{model['model.table1_error_cycles']:.0f} cycles "
           f"(ResNet-18 @ 512x512: 4294 VW-SDK cycles, 1.69x vs SDK)")
 
     if args.trace:
         units = declared("per_layer")
         values = layer_metrics(workload, tracer, replay, traced, units)
-        values["trace.overhead_pct"] = 100.0 * (sum(traced.walls)
-                                                / sum(reference.walls) - 1.0)
+        values["trace.overhead_pct"] = 100.0 * (
+            sum(traced.scaled()[0]) / sum(reference.scaled()[0]) - 1.0)
         values["host.probe_ms"] = probe_ms
         values.update(model)
         if values["trace.residual_pct"] > RESIDUAL_LIMIT_PCT:
@@ -240,23 +311,21 @@ def run(workload: Any, args: argparse.Namespace) -> Dict[str, Any]:
         attempted = len(main.ops) + len(traced.ops)
     else:
         units = declared("end_to_end")
-        timed_ops = list(zip(main.ops, main.walls))
-        tail_ms, beyond = p90([wall / 1e6 for _, wall in timed_ops])
-        if beyond < 10:
-            problems.append(f"p90 has {beyond} samples beyond it, not ten")
         setups = [setup_s] + setup_times(args)
         print(f"set-ups_s={[round(s, 4) for s in setups]}")
-        values = {
-            "setup_s": statistics.median(setups),
-            "p90_ms": tail_ms,
-            "throughput_ops": measured / main.window_s,
-            "peak_rss_mb": rss_mb,
-            "fast_p50_ms": statistics.median(
-                [wall / 1e6 for op, wall in timed_ops if workload.fast(op)]),
-            "slow_p50_ms": statistics.median(
-                [wall / 1e6 for op, wall in timed_ops
-                 if not workload.fast(op)]),
-        }
+        values = {"setup_s": statistics.median(setups),
+                  "peak_rss_mb": rss_mb}
+        # The metrics are at the reference host speed; the unscaled
+        # figures are printed beside them.
+        unscaled = latency_metrics(workload, main.ops,
+                                   [wall / 1e6 for wall in main.walls],
+                                   main.window_s)
+        print("unscaled: " + ", ".join(f"{name} {value:.4f}"
+                                       for name, value in unscaled.items()))
+        values.update(latency_metrics(workload, main.ops, *main.scaled()))
+        beyond = p90(main.walls)[1]
+        if beyond < 10:
+            problems.append(f"p90 has {beyond} samples beyond it, not ten")
         attempted = len(main.ops)
     metrics = {name: {"value": values[name], "unit": unit}
                for name, unit in units.items()}
@@ -302,9 +371,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.setup_only:
         try:
             workload.setup()
+            setup_s = scaled_setup_s()
         finally:
             workload.teardown()
-        print(json.dumps({"setup_s": time.perf_counter() - START}))
+        print(json.dumps({"setup_s": setup_s}))
         return 0
     try:
         result = run(workload, args)

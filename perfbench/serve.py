@@ -4,16 +4,19 @@ request goes out when the previous reply is in).
 
 A shuffled block of 32 ops fixes the mix in every run:
 
-* 16 ``hit``: a body repeated from the last 256 misses, so it is still
-  in the server's 1024-entry response memo and never reaches a worker;
+* 16 ``hit``: a ``/v1/map`` body repeated from the last 256 maps sent,
+  so it is still in the server's 1024-entry response memo and never
+  reaches a worker.  Hits repeat maps only: a memo hit's cost grows with its
+  reply, and one reply size keeps the hit median inside one cluster;
 * 16 ``miss``: a body the server has not seen — 10 distinct-geometry
   ``/v1/map``, 4 ``/v1/map_batch`` of 8 requests, 1 ``/v1/network_sweep``
   and 1 ``/v1/chip_pareto``.  Maps and the similar-cost sweep are 11 of
   the 16 misses, so the miss median lands inside their cluster; the
   batches hold the run's p90 whichever side of them the chip call falls.
 
-One worker: one connection never keeps two busy, and a second would
-compete for the host's cores.  Every reply is checked after the run
+One worker: one connection never keeps two busy.  Client, server and
+worker share one CPU (see ``run.py``), which a closed loop keeps busy
+with one of them at a time.  Every reply is checked after the run
 against an in-process replay of ``repro.server.worker`` on a fresh
 engine and store; the traced run times that replay layer by layer.
 """
@@ -275,7 +278,8 @@ class Serve:
                 yield {"kind": "hit", "path": path, "body": body}
                 continue
             body = fresh(makers[kind])
-            recent.append((PATHS[kind], body))
+            if kind == "map":
+                recent.append((PATHS[kind], body))
             yield {"kind": "miss", "path": PATHS[kind], "body": body}
 
     @staticmethod
