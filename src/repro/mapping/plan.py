@@ -29,7 +29,7 @@ that kernel coordinate exists, else the cell is unmapped (masked out).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,47 @@ from ..core.utilization import tile_sizes
 from ..core.window import ParallelWindow
 from ..search.result import MappingSolution
 
-__all__ = ["TilePlan", "MappingPlan", "build_plan"]
+__all__ = ["TileIndex", "TilePlan", "MappingPlan", "build_plan"]
+
+
+@dataclass(frozen=True)
+class TileIndex:
+    """The weight layout of one tile as small index tables.
+
+    A tile's rows read whole channels of a ``(channels, h, w)`` block of
+    the parallel window, and a row's weights depend only on its pixel
+    ``p = py * w + px``, not on its channel.  So one ``(h * w,
+    cols_used)`` table serves every channel: ``kernel_at[p, q]`` is the
+    flat offset ``oc * K_h * K_w + ky * K_w + kx`` of the weight cell
+    ``(p, q)`` holds in an ``(out_channels, K_h * K_w)`` kernel slice, or
+    ``out_channels * K_h * K_w`` (a zero) where the cell is unmapped.
+    ``rows`` picks the tile's rows, ``c * h * w + p``, out of the block:
+    a slice for every builder's layout, an index array otherwise.  Tiles
+    with the same descriptors differ only by their channel origins, so
+    one index serves them all.
+    """
+
+    kernel_at: np.ndarray
+    channels: int
+    out_channels: int
+    rows: Union[slice, np.ndarray]
+    used: int
+
+    def weights(self, kernel: np.ndarray, c0: int, o0: int
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(weights, mask)`` of a tile whose first input and output
+        channels are *c0* and *o0* of the ``(OC, IC, K_h, K_w)`` *kernel*."""
+        pixels, cols = self.kernel_at.shape
+        unmapped = self.out_channels * kernel.shape[2] * kernel.shape[3]
+        block = np.empty((self.channels, unmapped + 1), dtype=kernel.dtype)
+        block[:, -1] = 0
+        block[:, :-1] = kernel[o0:o0 + self.out_channels,
+                               c0:c0 + self.channels].transpose(
+                                   1, 0, 2, 3).reshape(self.channels, -1)
+        weights = block.take(self.kernel_at, axis=1).reshape(-1, cols)
+        mask = np.broadcast_to(self.kernel_at < unmapped,
+                               (self.channels, pixels, cols))
+        return weights[self.rows], mask.reshape(-1, cols)[self.rows]
 
 
 @dataclass(frozen=True)
@@ -66,6 +106,41 @@ class TilePlan:
         """Crossbar columns read by this tile."""
         return int(self.col_desc.shape[0])
 
+    def index(self, layer: ConvLayer) -> TileIndex:
+        """The :class:`TileIndex` of this tile's layout in *layer*."""
+        channels, h, w = (int(extent) for extent
+                          in self.row_desc.max(axis=0) + 1)
+        out_channels = int(self.col_desc[:, 0].max()) + 1
+        py, px = np.divmod(np.arange(h * w), w)
+        ky, kx, mask = _kernel_offsets(py, px, self.col_desc, layer)
+        kernel_at = np.where(
+            mask, (self.col_desc[:, 0] * layer.kernel_h + ky)
+            * layer.kernel_w + kx, out_channels * layer.kernel_area)
+        picked = ((self.row_desc[:, 0] * h + self.row_desc[:, 1]) * w
+                  + self.row_desc[:, 2])
+        start = int(picked[0])
+        rows: Union[slice, np.ndarray] = picked
+        if np.array_equal(picked, np.arange(start, start + picked.size)):
+            rows = slice(start, start + picked.size)
+        return TileIndex(kernel_at=kernel_at.astype(np.intp),
+                         channels=channels, out_channels=out_channels,
+                         rows=rows,
+                         used=int(mask.sum(axis=1)[picked % (h * w)].sum()))
+
+    def check_reach(self, layer: ConvLayer) -> None:
+        """Raise :class:`MappingError` unless every descriptor is
+        non-negative and the tile's channels lie inside *layer*'s."""
+        if (self.row_desc.min() < 0 or self.col_desc.min() < 0
+                or self.channel_slice[0] < 0 or self.oc_slice[0] < 0
+                or self.channel_slice[0] + self.row_desc[:, 0].max()
+                >= layer.in_channels
+                or self.oc_slice[0] + self.col_desc[:, 0].max()
+                >= layer.out_channels):
+            raise MappingError(
+                f"tile at channels {self.channel_slice} / {self.oc_slice} "
+                f"reaches outside the layer's {layer.in_channels} / "
+                f"{layer.out_channels}")
+
     def build_weights(self, kernel: np.ndarray, layer: ConvLayer
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Weight matrix and used-cell mask for this tile.
@@ -78,33 +153,32 @@ class TilePlan:
         Returns ``(weights, mask)`` of shape ``(rows_used, cols_used)``;
         unmapped cells are zero-valued and ``mask`` is ``False`` there.
         """
-        c0, _ = self.channel_slice
-        o0, _ = self.oc_slice
-        stride = layer.stride
-        c_idx = self.row_desc[:, 0][:, None] + c0
-        py = self.row_desc[:, 1][:, None]
-        px = self.row_desc[:, 2][:, None]
-        oc = self.col_desc[:, 0][None, :] + o0
-        ky = py - self.col_desc[:, 1][None, :] * stride
-        kx = px - self.col_desc[:, 2][None, :] * stride
-        mask = ((ky >= 0) & (ky < layer.kernel_h)
-                & (kx >= 0) & (kx < layer.kernel_w))
-        weights = np.zeros(mask.shape, dtype=kernel.dtype)
-        rows, cols = np.nonzero(mask)
-        weights[rows, cols] = kernel[
-            oc[0, cols], c_idx[rows, 0], ky[rows, cols], kx[rows, cols]]
-        return weights, mask
+        expected = (layer.out_channels, layer.in_channels,
+                    layer.kernel_h, layer.kernel_w)
+        if kernel.shape != expected:
+            raise MappingError(
+                f"kernel shape {kernel.shape} != layer {expected}")
+        self.check_reach(layer)
+        return self.index(layer).weights(kernel, self.channel_slice[0],
+                                         self.oc_slice[0])
 
     def used_cells(self, layer: ConvLayer) -> int:
         """Number of mapped cells (mask popcount) without building weights."""
-        stride = layer.stride
-        py = self.row_desc[:, 1][:, None]
-        px = self.row_desc[:, 2][:, None]
-        ky = py - self.col_desc[:, 1][None, :] * stride
-        kx = px - self.col_desc[:, 2][None, :] * stride
-        mask = ((ky >= 0) & (ky < layer.kernel_h)
-                & (kx >= 0) & (kx < layer.kernel_w))
-        return int(mask.sum())
+        return int(_kernel_offsets(self.row_desc[:, 1], self.row_desc[:, 2],
+                                   self.col_desc, layer)[2].sum())
+
+
+def _kernel_offsets(py: np.ndarray, px: np.ndarray, col_desc: np.ndarray,
+                    layer: ConvLayer
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ky, kx, mask)`` over (row, column) cells: the kernel coordinate
+    a row at window pixel ``(py, px)`` meets in each column, and whether
+    that coordinate exists."""
+    ky = py[:, None] - col_desc[:, 1][None, :] * layer.stride
+    kx = px[:, None] - col_desc[:, 2][None, :] * layer.stride
+    mask = ((ky >= 0) & (ky < layer.kernel_h)
+            & (kx >= 0) & (kx < layer.kernel_w))
+    return ky, kx, mask
 
 
 @dataclass(frozen=True)

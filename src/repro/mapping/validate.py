@@ -10,7 +10,7 @@ These checks catch layout bugs before execution:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Set, Tuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -67,20 +67,23 @@ def _check_channel_cover(plan: "MappingPlan") -> None:
 
 def _check_output_cover(plan: "MappingPlan") -> None:
     layer = plan.layer
-    covered: Set[Tuple[int, int]] = set()
     nw_h, nw_w = plan.window.windows_along(layer)
-    for gy, gx in plan.group_origins:
-        for wy in range(nw_h):
-            for wx in range(nw_w):
-                covered.add((gy + wy, gx + wx))
+    groups = np.asarray(plan.group_origins, dtype=np.int64).reshape(-1, 2)
+    ys, xs = np.broadcast_arrays(
+        groups[:, 0][:, None, None] + np.arange(nw_h)[:, None],
+        groups[:, 1][:, None, None] + np.arange(nw_w))
+    covered = 0
+    if ys.size:
+        y0, x0 = ys.min(), xs.min()
+        grid = np.zeros((ys.max() - y0 + 1, xs.max() - x0 + 1), dtype=bool)
+        grid[ys - y0, xs - x0] = True
+        covered = int(np.count_nonzero(grid))
     expected = layer.ofm_h * layer.ofm_w
-    if len(covered) != expected:
+    if covered != expected:
         raise MappingError(
-            f"window schedule covers {len(covered)} OFM elements, "
+            f"window schedule covers {covered} OFM elements, "
             f"expected {expected}")
-    max_y = max(y for y, _ in covered)
-    max_x = max(x for _, x in covered)
-    if max_y >= layer.ofm_h or max_x >= layer.ofm_w:
+    if ys.max() >= layer.ofm_h or xs.max() >= layer.ofm_w:
         raise MappingError("window schedule writes outside the OFM")
 
 

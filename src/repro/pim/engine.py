@@ -13,19 +13,29 @@ parallel window.  Its contract, enforced on every run:
 
 Per-cycle activity (rows driven, columns read, active cells) is
 accumulated for the energy model.
+
+A tiled plan runs from index tables built once per distinct tile
+layout: a tile's weights are one ``take`` from its kernel slice (see
+:class:`~repro.mapping.plan.TileIndex`), and its inputs and outputs are
+one ``take`` and one indexed write per schedule row.  Plans built from
+a solution are validated and indexed once and then served from
+:data:`_PLAN_MEMO`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, \
+    Union
 
 import numpy as np
 
 from ..core.array import PIMArray
+from ..core.cache import LRUMemo, frozen_arrays
 from ..core.cost import CostParams, DEFAULT_COST_PARAMS
+from ..core.layer import ConvLayer
 from ..core.types import ConfigurationError, MappingError
-from ..mapping.plan import MappingPlan, build_plan
+from ..mapping.plan import MappingPlan, TileIndex, TilePlan, build_plan
 from ..mapping.smd import SMDPlan, build_smd_plan
 from ..search.result import MappingSolution
 from .crossbar import Crossbar
@@ -33,6 +43,8 @@ from .reference import pad_ifm
 from .trace import CycleRecord, ExecutionTrace
 
 __all__ = ["ExecutionResult", "PIMEngine"]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,147 @@ class ExecutionResult:
         return self.cycles * params.cycle_time_ns / 1000.0
 
 
+def _schedule_rows(origins: np.ndarray, width: int
+                   ) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """Split a schedule of ``(y, x)`` origins into rows.
+
+    Returns the flat offset ``y * width + x0`` where each row starts and
+    the ``x - x0 >= 0`` offsets shared by every row.  Every builder's
+    schedule is a product grid, one row per ``y``; any other schedule
+    runs one position per row.
+    """
+    ys, xs = origins[:, 0], origins[:, 1]
+    per_row = int(np.argmax(ys != ys[0])) or ys.size
+    if ys.size % per_row == 0:
+        grid_y, grid_x = ys.reshape(-1, per_row), xs.reshape(-1, per_row)
+        if (grid_y == grid_y[:, :1]).all() and (grid_x == grid_x[:1]).all():
+            x0 = grid_x[0].min()
+            return (tuple((grid_y[:, 0] * width + x0).tolist()),
+                    grid_x[0] - x0)
+    return tuple((ys * width + xs).tolist()), np.zeros(1, dtype=np.intp)
+
+
+@dataclass(frozen=True)
+class _IndexedPlan:
+    """A tiled plan with its index tables.
+
+    ``weights[ar][ac]`` is the tile's :class:`TileIndex`.
+    ``gather[ar][ac]`` holds, for every position of one schedule row and
+    every crossbar row, the flat padded-IFM offset the tile reads,
+    counted from its first channel and the row's start in ``in_rows``.
+    ``scatter[ac]`` is the same for the OFM offsets the columns write,
+    as a pair: the order that sorts one schedule row's results by
+    offset, and the sorted offsets.  The sort is stable, so results that
+    land on the same output keep their C order.  Tiles with the same
+    layout share their tables.
+    """
+
+    plan: MappingPlan
+    weights: Tuple[Tuple[TileIndex, ...], ...]
+    gather: Tuple[Tuple[np.ndarray, ...], ...]
+    in_rows: Tuple[int, ...]
+    scatter: Tuple[np.ndarray, ...]
+    out_rows: Tuple[int, ...]
+
+    @property
+    def layer(self) -> ConvLayer:
+        """The mapped layer."""
+        return self.plan.layer
+
+    @classmethod
+    def of(cls, plan: MappingPlan) -> "_IndexedPlan":
+        """Index *plan*, once per distinct tile layout.
+
+        Raises :class:`MappingError` when a tile would read or write
+        outside the layer's feature maps, so no flat offset can wrap
+        into a neighbouring row or channel.
+        """
+        layer = plan.layer
+        height, width = layer.padded_ifm_h, layer.padded_ifm_w
+        origins = np.asarray(plan.origins, dtype=np.intp).reshape(-1, 2)
+        groups = np.asarray(plan.group_origins, dtype=np.intp).reshape(-1, 2)
+        if origins.min() < 0 or groups.min() < 0:
+            raise MappingError("window schedule has a negative origin")
+        in_reach = (height - origins[:, 0].max(), width - origins[:, 1].max())
+        out_reach = (layer.ofm_h - groups[:, 0].max(),
+                     layer.ofm_w - groups[:, 1].max())
+        in_rows, in_x = _schedule_rows(origins, width)
+        out_rows, out_x = _schedule_rows(groups, layer.ofm_w)
+        shared: Dict[Tuple[object, ...], object] = {}
+
+        def once(key: Tuple[object, ...], build: Callable[[], T]) -> T:
+            if key not in shared:
+                shared[key] = build()
+            return shared[key]  # type: ignore[return-value]
+
+        def read_table(rows: np.ndarray) -> np.ndarray:
+            return in_x[:, None] + (
+                (rows[:, 0] * height + rows[:, 1]) * width + rows[:, 2])
+
+        def write_table(cols: np.ndarray) -> np.ndarray:
+            targets = (out_x[:, None] + (
+                (cols[:, 0] * layer.ofm_h + cols[:, 1]) * layer.ofm_w
+                + cols[:, 2])).reshape(-1)
+            order = np.argsort(targets, kind="stable")
+            return np.stack((order, targets[order]))
+
+        def tables(tile: TilePlan) -> Tuple[TileIndex, np.ndarray,
+                                            np.ndarray]:
+            tile.check_reach(layer)
+            rows, cols = tile.row_desc, tile.col_desc
+            if (rows[:, 1].max() >= in_reach[0]
+                    or rows[:, 2].max() >= in_reach[1]
+                    or cols[:, 1].max() >= out_reach[0]
+                    or cols[:, 2].max() >= out_reach[1]):
+                raise MappingError(
+                    "window schedule reaches outside the padded IFM or "
+                    "the OFM")
+            row_key = ("rows", rows.shape, rows.tobytes())
+            col_key = ("cols", cols.shape, cols.tobytes())
+            return (once(row_key + col_key, lambda: tile.index(layer)),
+                    once(row_key, lambda: read_table(rows)),
+                    once(col_key, lambda: write_table(cols)))
+
+        grid = [[tables(tile) for tile in row] for row in plan.tiles]
+        return cls(plan=plan,
+                   weights=tuple(tuple(t[0] for t in row) for row in grid),
+                   gather=tuple(tuple(t[1] for t in row) for row in grid),
+                   in_rows=in_rows,
+                   scatter=tuple(t[2] for t in grid[0]),
+                   out_rows=out_rows)
+
+    def arrays(self) -> Iterator[np.ndarray]:
+        """Every array the plan and its tables hold."""
+        for row in self.plan.tiles:
+            for tile in row:
+                yield from (tile.row_desc, tile.col_desc)
+        for indexes, gathers in zip(self.weights, self.gather):
+            for index in indexes:
+                yield index.kernel_at
+                if isinstance(index.rows, np.ndarray):
+                    yield index.rows
+            yield from gathers
+        yield from self.scatter
+
+
+def _indexed_plan(solution: MappingSolution) -> _IndexedPlan:
+    """Build, validate and index the tiled plan of *solution*."""
+    plan = build_plan(solution)
+    plan.validate()
+    indexed = _IndexedPlan.of(plan)
+    frozen_arrays(indexed.arrays())  # shared by every replay of the solution
+    return indexed
+
+
+#: Validated tiled plans with their index tables, keyed by the
+#: :class:`MappingSolution` they were built from (its equality ignores
+#: ``layer.name``, ``array.name`` and ``candidates_searched``).  Replaying
+#: a solution again skips building, validating and indexing its plan.
+#: A plan that fails validation raises inside the factory and is never
+#: stored.
+_PLAN_MEMO: LRUMemo = LRUMemo(maxsize=32)
+
+
 class PIMEngine:
     """Executes mapping plans on a (possibly non-ideal) crossbar."""
 
@@ -83,8 +236,9 @@ class PIMEngine:
         Parameters
         ----------
         mapping:
-            A solution (layouts are built and validated on the fly) or a
-            pre-built plan.
+            A solution (its layout is built, validated and indexed on
+            the first run and served from :data:`_PLAN_MEMO` after) or
+            a pre-built plan (indexed on every run).
         ifm:
             ``(IC, H, W)`` input feature map (unpadded; the engine pads).
         kernel:
@@ -102,7 +256,7 @@ class PIMEngine:
         True
         """
         plan = self._as_plan(mapping)
-        layer = plan.solution.layer
+        layer = plan.layer
         ifm = np.asarray(ifm, dtype=np.float64)
         kernel = np.asarray(kernel, dtype=np.float64)
         if ifm.shape != (layer.in_channels, layer.ifm_h, layer.ifm_w):
@@ -120,17 +274,18 @@ class PIMEngine:
         return self._run_tiled(plan, ifm, kernel)
 
     # ------------------------------------------------------------------
-    def _as_plan(self, mapping) -> Union[MappingPlan, SMDPlan]:
-        if isinstance(mapping, (MappingPlan, SMDPlan)):
+    def _as_plan(self, mapping) -> Union[_IndexedPlan, SMDPlan]:
+        if isinstance(mapping, SMDPlan):
             return mapping
+        if isinstance(mapping, MappingPlan):
+            return _IndexedPlan.of(mapping)
         if not isinstance(mapping, MappingSolution):
             raise ConfigurationError(
                 f"cannot execute {type(mapping).__name__}")
         if mapping.scheme == "smd" and mapping.duplication > 1:
             return build_smd_plan(mapping)
-        plan = build_plan(mapping)
-        plan.validate()
-        return plan
+        return _PLAN_MEMO.get_or_compute(
+            mapping, lambda: _indexed_plan(mapping))
 
     def _crossbar_for(self, array: PIMArray) -> Crossbar:
         if self.crossbar is None:
@@ -143,41 +298,48 @@ class PIMEngine:
         return self.crossbar
 
     # ------------------------------------------------------------------
-    def _run_tiled(self, plan: MappingPlan, ifm: np.ndarray,
+    def _run_tiled(self, indexed: _IndexedPlan, ifm: np.ndarray,
                    kernel: np.ndarray) -> ExecutionResult:
-        layer = plan.solution.layer
-        padded = pad_ifm(ifm, layer.padding)
+        plan = indexed.plan
+        layer = plan.layer
+        padded = pad_ifm(ifm, layer.padding).reshape(-1)
         crossbar = self._crossbar_for(plan.array)
         ofm = np.zeros((layer.out_channels, layer.ofm_h, layer.ofm_w))
+        in_plane = layer.padded_ifm_h * layer.padded_ifm_w
+        out_plane = layer.ofm_h * layer.ofm_w
 
-        origins = np.asarray(plan.origins, dtype=np.int64)
-        groups = np.asarray(plan.group_origins, dtype=np.int64)
-        n_pos = origins.shape[0]
+        n_pos = len(plan.origins)
         cycles = rows_driven = cols_read = active_cells = 0
         records: List[CycleRecord] = []
 
         for ac_index in range(plan.ac_tiles):
             acc: Optional[np.ndarray] = None
-            tile0 = plan.tiles[0][ac_index]
             for ar_index in range(plan.ar_tiles):
                 tile = plan.tiles[ar_index][ac_index]
-                weights, mask = tile.build_weights(kernel, layer)
-                crossbar.program(weights, mask)
-                gathered = self._gather(padded, tile, origins)
+                index = indexed.weights[ar_index][ac_index]
+                crossbar.program(*index.weights(
+                    kernel, tile.channel_slice[0], tile.oc_slice[0]))
+                gathered = self._gather(
+                    padded[tile.channel_slice[0] * in_plane:],
+                    indexed.in_rows, indexed.gather[ar_index][ac_index])
                 partial = crossbar.compute(gathered)
-                acc = partial if acc is None else acc + partial
+                if acc is None:
+                    acc = partial
+                else:
+                    acc += partial
                 cycles += n_pos
                 rows_driven += n_pos * tile.rows_used
                 cols_read += n_pos * tile.cols_used
-                used = int(mask.sum())
-                active_cells += n_pos * used
+                active_cells += n_pos * index.used
                 if self.record_trace:
                     records.append(CycleRecord(
                         ar=ar_index, ac=ac_index, positions=n_pos,
                         rows=tile.rows_used, cols=tile.cols_used,
-                        cells=used))
+                        cells=index.used))
             assert acc is not None
-            self._scatter(ofm, tile0, groups, acc)
+            o0, _ = plan.tiles[0][ac_index].oc_slice
+            self._scatter(ofm.reshape(-1)[o0 * out_plane:], indexed.out_rows,
+                          indexed.scatter[ac_index], acc)
 
         expected = plan.total_cycles
         if cycles != expected:
@@ -191,28 +353,40 @@ class PIMEngine:
             array_cols=plan.array.cols, trace=trace)
 
     @staticmethod
-    def _gather(padded: np.ndarray, tile, origins: np.ndarray) -> np.ndarray:
-        """Input matrix ``(n_positions, rows_used)`` for one tile."""
-        c0, _ = tile.channel_slice
-        c_idx = tile.row_desc[:, 0] + c0
-        y_idx = origins[:, 0][:, None] + tile.row_desc[:, 1][None, :]
-        x_idx = origins[:, 1][:, None] + tile.row_desc[:, 2][None, :]
-        return padded[c_idx[None, :], y_idx, x_idx]
+    def _gather(padded: np.ndarray, starts: Tuple[int, ...],
+                table: np.ndarray) -> np.ndarray:
+        """Input matrix ``(n_positions, rows_used)`` for one tile.
+
+        *padded* is the flat padded IFM from the tile's first channel;
+        schedule row ``i`` copies ``padded[starts[i] + table]``.  The
+        plan index checked every offset, so ``clip`` never clips; it
+        lets ``take`` write straight into the result.
+        """
+        per_row = table.shape[0]
+        out = np.empty((len(starts) * per_row, table.shape[1]))
+        for i, start in enumerate(starts):
+            padded[start:].take(table, out=out[i * per_row:(i + 1) * per_row],
+                                mode="clip")
+        return out
 
     @staticmethod
-    def _scatter(ofm: np.ndarray, tile, groups: np.ndarray,
-                 acc: np.ndarray) -> None:
+    def _scatter(ofm: np.ndarray, starts: Tuple[int, ...],
+                 table: np.ndarray, acc: np.ndarray) -> None:
         """Write ``(n_positions, cols_used)`` results into the OFM.
 
-        Clamped schedule positions recompute some outputs; values are
-        identical (up to programming noise), so plain assignment with
-        duplicate indices is safe.
+        *ofm* is the flat OFM from the tile's first output channel;
+        schedule row ``i`` puts its results, picked in the order
+        ``table[0]``, at ``ofm[starts[i] + table[1]]``: ascending
+        addresses, so the writes stream through memory.  Clamped
+        schedule positions recompute some outputs; those writes keep
+        their C order of ``(position, column)``, so the last position
+        wins, as with plain fancy assignment.
         """
-        o0, _ = tile.oc_slice
-        oc_idx = tile.col_desc[:, 0] + o0
-        y_idx = groups[:, 0][:, None] + tile.col_desc[:, 1][None, :]
-        x_idx = groups[:, 1][:, None] + tile.col_desc[:, 2][None, :]
-        ofm[oc_idx[None, :], y_idx, x_idx] = acc
+        order, targets = table
+        per_row = order.size // acc.shape[1]
+        for i, start in enumerate(starts):
+            ofm[start:][targets] = acc[i * per_row:(i + 1) * per_row].take(
+                order)
 
     # ------------------------------------------------------------------
     def _run_smd(self, plan: SMDPlan, ifm: np.ndarray,

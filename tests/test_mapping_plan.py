@@ -1,10 +1,14 @@
 """Unit tests for mapping-plan construction and validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import ConvLayer, MappingError, PIMArray
+from repro.core.strided import search_strided
 from repro.mapping import build_plan, build_smd_plan, render_plan
+from repro.mapping.strided import build_strided_plan
 from repro.search import solve
 
 
@@ -101,6 +105,82 @@ class TestWeights:
         kernel = np.ones((vgg_l5.out_channels, vgg_l5.in_channels, 3, 3))
         _, mask = tile.build_weights(kernel, vgg_l5)
         assert (mask.sum(axis=0) == 9 * 42).all()
+
+
+def _oracle_weights(tile, kernel, layer):
+    """Cell-by-cell weights: ``W[oc, c, py - wy*s, px - wx*s]`` when that
+    kernel coordinate exists, else an unmapped zero cell."""
+    c0, _ = tile.channel_slice
+    o0, _ = tile.oc_slice
+    weights = np.zeros((tile.rows_used, tile.cols_used), dtype=kernel.dtype)
+    mask = np.zeros(weights.shape, dtype=bool)
+    for r, (c, py, px) in enumerate(tile.row_desc):
+        for q, (oc, wy, wx) in enumerate(tile.col_desc):
+            ky, kx = py - wy * layer.stride, px - wx * layer.stride
+            if 0 <= ky < layer.kernel_h and 0 <= kx < layer.kernel_w:
+                weights[r, q] = kernel[o0 + oc, c0 + c, ky, kx]
+                mask[r, q] = True
+    return weights, mask
+
+
+ORACLE_PLANS = [
+    ("im2col", ConvLayer.square(6, 3, 7, 5), PIMArray(40, 3)),
+    ("sdk", ConvLayer.square(7, 3, 5, 4), PIMArray(64, 16)),
+    ("vw-sdk", ConvLayer.square(8, 3, 6, 9), PIMArray(64, 24)),
+    ("vw-sdk", ConvLayer(ifm_h=9, ifm_w=12, kernel_h=2, kernel_w=4,
+                         in_channels=3, out_channels=9), PIMArray(40, 24)),
+    ("vw-sdk", ConvLayer.square(7, 3, 12, 8), PIMArray(30, 10)),
+]
+
+
+class TestWeightsOracle:
+    """``build_weights`` reads its index tables; every tile of every
+    builder must still equal the cell-by-cell definition."""
+
+    @staticmethod
+    def _check(plan, layer, rng):
+        kernel = rng.normal(size=(layer.out_channels, layer.in_channels,
+                                  layer.kernel_h, layer.kernel_w))
+        for row in plan.tiles:
+            for tile in row:
+                weights, mask = tile.build_weights(kernel, layer)
+                want_w, want_m = _oracle_weights(tile, kernel, layer)
+                np.testing.assert_array_equal(mask, want_m)
+                np.testing.assert_array_equal(weights, want_w)
+                assert weights.dtype == kernel.dtype
+                assert tile.used_cells(layer) == int(want_m.sum())
+
+    @pytest.mark.parametrize("scheme,layer,arr", ORACLE_PLANS)
+    def test_builders_match_oracle(self, scheme, layer, arr, rng):
+        self._check(_plan_for(scheme, layer, arr), layer, rng)
+
+    def test_strided_plan_matches_oracle(self, rng):
+        layer = ConvLayer.square(11, 3, 4, 6, stride=2, padding=1)
+        plan = build_strided_plan(search_strided(layer, PIMArray(64, 32)))
+        assert plan.window.area > layer.kernel_area  # >1 kernel per window
+        self._check(plan, layer, rng)
+
+    def test_rejects_kernel_of_another_layer(self, resnet_l4, array512):
+        tile = _plan_for("vw-sdk", resnet_l4, array512).tiles[0][0]
+        with pytest.raises(MappingError):
+            tile.build_weights(np.ones((2, 2, 3, 3)), resnet_l4)
+
+
+class TestOutputCover:
+    def test_missing_group_is_caught(self, resnet_l4, array512):
+        plan = _plan_for("vw-sdk", resnet_l4, array512)
+        broken = dataclasses.replace(
+            plan, group_origins=plan.group_origins[:-1])
+        with pytest.raises(MappingError, match="covers"):
+            broken.validate()
+
+    def test_group_outside_ofm_is_caught(self, resnet_l4, array512):
+        plan = _plan_for("vw-sdk", resnet_l4, array512)
+        gy, gx = plan.group_origins[-1]
+        broken = dataclasses.replace(
+            plan, group_origins=plan.group_origins + ((gy + 1, gx),))
+        with pytest.raises(MappingError):
+            broken.validate()
 
 
 class TestSMDPlan:

@@ -4,11 +4,16 @@
 2. The executed cycle count equals the analytical model's count.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import ConvLayer, MappingError, PIMArray
 from repro.core import CostParams
+from repro.mapping import build_plan
+from repro.mapping.plan import MappingPlan
+from repro.pim import engine as engine_module
 from repro.pim import (
     Crossbar,
     LinearADC,
@@ -177,3 +182,144 @@ class TestInputValidation:
         with pytest.raises(Exception):
             PIMEngine().run("not-a-plan", np.zeros((1, 4, 4)),
                             np.zeros((1, 1, 3, 3)))
+
+
+# ----------------------------------------------------------------------
+# Plan memo and index tables
+# ----------------------------------------------------------------------
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """Count plan builds and validations behind the engine."""
+    engine_module._PLAN_MEMO.clear()
+    calls = {"build": 0, "validate": 0}
+    build, validate = engine_module.build_plan, MappingPlan.validate
+
+    def counting_build(solution):
+        calls["build"] += 1
+        return build(solution)
+
+    def counting_validate(plan):
+        calls["validate"] += 1
+        validate(plan)
+
+    monkeypatch.setattr(engine_module, "build_plan", counting_build)
+    monkeypatch.setattr(MappingPlan, "validate", counting_validate)
+    yield calls
+    engine_module._PLAN_MEMO.clear()
+
+
+class TestPlanMemo:
+    def test_solution_built_and_validated_once(self, counted_builds, rng):
+        layer = ConvLayer.square(10, 3, 7, 5)
+        sol = solve(layer, PIMArray(48, 16), "vw-sdk")
+        for _ in range(3):
+            ifm, kernel = random_layer_inputs(layer, rng)
+            result = PIMEngine().run(sol, ifm, kernel)
+            np.testing.assert_array_equal(result.ofm,
+                                          conv2d_reference(ifm, kernel))
+        renamed = dataclasses.replace(
+            sol, layer=dataclasses.replace(layer, name="other"))
+        PIMEngine().run(renamed, ifm, kernel)
+        assert counted_builds == {"build": 1, "validate": 1}
+        PIMEngine().run(solve(layer, PIMArray(48, 16), "im2col"), ifm, kernel)
+        assert counted_builds == {"build": 2, "validate": 2}
+
+    def test_failed_validation_is_not_stored(self, counted_builds,
+                                             monkeypatch, rng):
+        layer = ConvLayer.square(8, 3, 4, 6)
+        sol = solve(layer, PIMArray(64, 32), "vw-sdk")
+        ifm, kernel = random_layer_inputs(layer, rng)
+        validate = MappingPlan.validate
+
+        def failing(plan):
+            validate(plan)
+            raise MappingError("injected")
+
+        monkeypatch.setattr(MappingPlan, "validate", failing)
+        with pytest.raises(MappingError, match="injected"):
+            PIMEngine().run(sol, ifm, kernel)
+        assert len(engine_module._PLAN_MEMO) == 0
+        monkeypatch.setattr(MappingPlan, "validate", validate)
+        assert PIMEngine().run(sol, ifm, kernel).cycles == sol.cycles
+        assert len(engine_module._PLAN_MEMO) == 1
+
+    def test_memoized_arrays_are_frozen(self, counted_builds, rng):
+        layer = ConvLayer.square(9, 3, 6, 5)
+        sol = solve(layer, PIMArray(40, 12), "im2col")
+        ifm, kernel = random_layer_inputs(layer, rng)
+        PIMEngine().run(sol, ifm, kernel)
+        indexed = engine_module._PLAN_MEMO.get_or_compute(
+            sol, lambda: pytest.fail("memo miss"))
+        arrays = list(indexed.arrays())
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][0] = 1  # proves read-only
+
+    def test_prebuilt_plan_is_left_writable(self, rng):
+        layer = ConvLayer.square(8, 3, 4, 6)
+        plan = build_plan(solve(layer, PIMArray(64, 32), "vw-sdk"))
+        ifm, kernel = random_layer_inputs(layer, rng)
+        PIMEngine().run(plan, ifm, kernel)
+        assert plan.tiles[0][0].row_desc.flags.writeable
+
+
+def _permuted(plan, rng):
+    """*plan* with every tile's rows shuffled, every column tile's
+    columns shuffled (alike in each of its row tiles, which accumulate
+    into one result) and the window schedule in random order: no builder
+    lays a plan out like this."""
+    col_orders = [rng.permutation(tile.cols_used) for tile in plan.tiles[0]]
+    tiles = tuple(
+        tuple(dataclasses.replace(
+            tile, row_desc=rng.permutation(tile.row_desc),
+            col_desc=tile.col_desc[order])
+            for tile, order in zip(row, col_orders))
+        for row in plan.tiles)
+    order = rng.permutation(len(plan.origins))
+    return dataclasses.replace(
+        plan, tiles=tiles,
+        origins=tuple(plan.origins[i] for i in order),
+        group_origins=tuple(plan.group_origins[i] for i in order))
+
+
+class TestCustomPlans:
+    @pytest.mark.parametrize("scheme", ("im2col", "sdk", "vw-sdk"))
+    def test_any_layout_and_schedule_order_is_exact(self, scheme, rng):
+        layer = ConvLayer.square(9, 3, 6, 7, padding=1)
+        plan = build_plan(solve(layer, PIMArray(40, 12), scheme))
+        ifm, kernel = random_layer_inputs(layer, rng)
+        result = PIMEngine().run(_permuted(plan, rng), ifm, kernel)
+        np.testing.assert_array_equal(
+            result.ofm, conv2d_reference(ifm, kernel, padding=1))
+        assert result.cycles == plan.total_cycles
+
+    def test_reversed_schedule_is_exact(self, rng):
+        layer = ConvLayer.square(10, 3, 3, 4)
+        plan = build_plan(solve(layer, PIMArray(64, 32), "vw-sdk"))
+        reversed_plan = dataclasses.replace(
+            plan, origins=plan.origins[::-1],
+            group_origins=plan.group_origins[::-1])
+        ifm, kernel = random_layer_inputs(layer, rng)
+        np.testing.assert_array_equal(
+            PIMEngine().run(reversed_plan, ifm, kernel).ofm,
+            conv2d_reference(ifm, kernel))
+
+    def test_schedule_outside_the_ifm_is_rejected(self, rng):
+        layer = ConvLayer.square(10, 3, 3, 4)
+        plan = build_plan(solve(layer, PIMArray(64, 32), "vw-sdk"))
+        oy, ox = plan.origins[-1]
+        shifted = dataclasses.replace(
+            plan, origins=plan.origins[:-1] + ((oy, ox + 1),))
+        ifm, kernel = random_layer_inputs(layer, rng)
+        with pytest.raises(MappingError):
+            PIMEngine().run(shifted, ifm, kernel)
+
+    def test_tile_past_the_channels_is_rejected(self, rng):
+        layer = ConvLayer.square(10, 3, 3, 4)
+        plan = build_plan(solve(layer, PIMArray(64, 32), "vw-sdk"))
+        tile = plan.tiles[0][0]
+        wide = dataclasses.replace(tile, channel_slice=(1, 4))
+        ifm, kernel = random_layer_inputs(layer, rng)
+        with pytest.raises(MappingError):
+            PIMEngine().run(dataclasses.replace(plan, tiles=((wide,),)),
+                            ifm, kernel)
