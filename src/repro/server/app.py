@@ -31,8 +31,10 @@ request.  Endpoints:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import json
+import signal
 import threading
 import time
 from collections import OrderedDict
@@ -522,7 +524,11 @@ def serve(host: str = "127.0.0.1", port: int = 8080, *,
           workers: int = 2, store_path: Optional[str] = None,
           backend: str = "auto", cache_size: int = 4096,
           memo_size: int = 1024, fault_injection: bool = False) -> None:
-    """Blocking entry point for ``vwsdk serve``."""
+    """Blocking entry point for ``vwsdk serve``.
+
+    Returns once Ctrl-C or SIGTERM has stopped the listener and the
+    worker pool, so the process exits 0 with no child left behind.
+    """
     server = MappingServer(host, port, workers=workers,
                            store_path=store_path, backend=backend,
                            cache_size=cache_size, memo_size=memo_size,
@@ -530,6 +536,13 @@ def serve(host: str = "127.0.0.1", port: int = 8080, *,
 
     async def _main() -> None:
         await server.start()
+        # SIGTERM (``Popen.terminate()``, systemd, docker) takes the same
+        # graceful path as Ctrl-C: cancel serving, then stop the pool.
+        main = asyncio.current_task()
+        if main is not None:
+            with contextlib.suppress(NotImplementedError):  # not on Windows
+                asyncio.get_running_loop().add_signal_handler(
+                    signal.SIGTERM, main.cancel)
         print(f"serving on http://{server.host}:{server.port} "
               f"({server.workers} workers, backend={server.backend}, "
               f"store={server.store_path or 'none'})")

@@ -13,7 +13,15 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +317,71 @@ class TestWorkerUnit:
         result = run_network_sweep({"network": "resnet18", "arrays": []})
         assert result["ok"] is False
         assert result["error"]["status"] == 400
+
+
+# ----------------------------------------------------------------------
+# `vwsdk serve` as a process: SIGTERM stops it like Ctrl-C
+# ----------------------------------------------------------------------
+def _live_children() -> dict:
+    """``{ppid: [pid, ...]}`` over every live process (zombies excluded)."""
+    children: dict = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if state != "Z":
+            children.setdefault(int(ppid), []).append(int(entry))
+    return children
+
+
+def _descendants(pid: int) -> list:
+    children, found, stack = _live_children(), [], [pid]
+    while stack:
+        for child in children.get(stack.pop(), []):
+            found.append(child)
+            stack.append(child)
+    return found
+
+
+def _alive(pid: int) -> bool:
+    return any(pid in pids for pids in _live_children().values())
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="finds the server's children through /proc")
+def test_sigterm_stops_the_server_and_its_children(tmp_path):
+    """``Popen.terminate()``, systemd and docker stop a server with
+    SIGTERM; it must shut its worker pool down and exit 0, as on Ctrl-C."""
+    with open(tmp_path / "stderr.txt", "w") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1"], stdout=subprocess.PIPE, stderr=stderr,
+            text=True, env=dict(os.environ, PYTHONUNBUFFERED="1"))
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        assert ready, "server printed no address within 60 s"
+        line = proc.stdout.readline()
+        host, port = re.search(r"http://([\d.]+):(\d+)", line).groups()
+        conn = http.client.HTTPConnection(host, int(port), timeout=120)
+        conn.request("POST", "/v1/map", json.dumps({"request": REQ}),
+                     {"Content-Type": "application/json"})
+        assert conn.getresponse().status == 200
+        conn.close()
+        children = _descendants(proc.pid)
+        assert children, "the worker pool runs in child processes"
+
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        deadline = time.monotonic() + 10
+        while any(map(_alive, children)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in children if _alive(pid)]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
