@@ -715,8 +715,7 @@ class MappingEngine:
         layers = tuple(network)
         key = (scheme, NetworkLattice.geometry_key(layers), be.name)
         return self._sweeps.get_or_compute(
-            key, lambda: NetworkLattice.for_network(layers, scheme,
-                                                    backend=be))
+            key, lambda: NetworkLattice.for_network(layers, scheme))
 
     def network_cycles(self, network: Iterable[ConvLayer], array: PIMArray,
                        scheme: str = "vw-sdk") -> int:

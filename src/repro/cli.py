@@ -368,10 +368,15 @@ def _cmd_dse(args: argparse.Namespace) -> int:
                              f"got {args.max_cells}")
     except ValueError as error:
         raise SystemExit(f"dse sweep: {error}") from None
-    front = array_pareto(network, scheme=args.scheme,
-                         max_cells=args.max_cells, sides=sides,
-                         square_only=not args.non_square,
-                         engine=_engine_for(args.backend))
+    from .core import ConfigurationError
+    try:
+        front = array_pareto(network, scheme=args.scheme,
+                             max_cells=args.max_cells, sides=sides,
+                             square_only=not args.non_square,
+                             engine=_engine_for(args.backend))
+    except ConfigurationError as error:
+        # e.g. --sides entries that all exceed --max-cells.
+        raise SystemExit(f"dse sweep: {error}") from None
     shape = "non-square" if args.non_square else "square"
     rows = [{"array": str(p.array), "cells": p.cells, "cycles": p.cycles}
             for p in front]

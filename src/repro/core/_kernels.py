@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["geo_cycles_kernel", "finish_kernel", "front_kernel"]
+__all__ = ["geo_cycles_kernel", "finish_kernel"]
 
 
 def geo_cycles_kernel(rows: np.ndarray, cols: np.ndarray,
@@ -119,71 +119,3 @@ def finish_kernel(area: np.ndarray, windows: np.ndarray,
                 ac[i, j] = 0
                 n_pw_out[i, j] = 0
                 cycles[i, j] = 0
-
-
-def front_kernel(n_pw: np.ndarray, area: np.ndarray, windows: np.ndarray,
-                 order: np.ndarray, keep: np.ndarray,
-                 sky_area: np.ndarray, sky_windows: np.ndarray) -> int:
-    """3-D dominance prune over ``(n_pw, area, windows)`` (minimising).
-
-    The loop form of the skyline scan in
-    :func:`repro.core.sweep` — *order* is the
-    ``(windows, area, n_pw)`` lexicographic visit order (computed by
-    ``np.lexsort`` outside, identically for every backend), *keep* the
-    output mask over the same index space, ``sky_area``/``sky_windows``
-    caller-provided scratch of the same length.  Returns the kept
-    count.  Kept cells match the bisect-based reference exactly: the
-    staircase over ``(area, windows)`` answers dominance in
-    ``O(log front)``, and entries a new cell makes redundant as
-    dominance witnesses are dropped from the staircase while staying
-    kept.
-    """
-    sky_len = 0
-    kept = 0
-    for idx in range(order.shape[0]):
-        flat = order[idx]
-        a = np.int64(area[flat])
-        w = np.int64(windows[flat])
-        # bisect_right over sky_area[:sky_len]
-        lo = 0
-        hi = sky_len
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a < sky_area[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        pos = lo
-        if pos > 0 and sky_windows[pos - 1] <= w:
-            keep[flat] = False
-            continue  # dominated (exact duplicates collapse here too)
-        keep[flat] = True
-        kept += 1
-        # bisect_left over sky_area[:sky_len]
-        lo = 0
-        hi = sky_len
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sky_area[mid] < a:
-                lo = mid + 1
-            else:
-                hi = mid
-        start = lo
-        stop = start
-        while stop < sky_len and sky_windows[stop] >= w:
-            stop += 1
-        # splice [start, stop) -> the single entry (a, w)
-        shift = stop - start - 1
-        if shift > 0:
-            for k in range(stop, sky_len):
-                sky_area[k - shift] = sky_area[k]
-                sky_windows[k - shift] = sky_windows[k]
-            sky_len -= shift
-        elif shift < 0:  # pure insertion: make room for one entry
-            for k in range(sky_len - 1, start - 1, -1):
-                sky_area[k + 1] = sky_area[k]
-                sky_windows[k + 1] = sky_windows[k]
-            sky_len += 1
-        sky_area[start] = a
-        sky_windows[start] = w
-    return kept

@@ -1,12 +1,11 @@
 """Pluggable compute backends for the lattice family.
 
 The eq. 1-8 cycle model is a pure integer array program, evaluated in
-three hot shapes: the per-layer eqs. 4-8 finishing step
-(:meth:`LayerLattice.with_array`), the batched per-(array, geometry)
+two hot shapes: the per-layer eqs. 4-8 finishing step
+(:meth:`LayerLattice.with_array`) and the batched per-(array, geometry)
 network evaluation with its segment reductions
-(:meth:`NetworkLattice.cycles_for`), and the 3-D dominance prune that
-builds the window Pareto fronts.  This module factors those three
-behind a :class:`Backend` so the same call sites can run either
+(:meth:`NetworkLattice.cycles_for`).  This module factors both behind
+a :class:`Backend` so the same call sites can run either
 
 * :class:`NumpyBackend` — the always-available reference.  Vectorized
   exactly like the historical inline code (bit-identical by
@@ -48,7 +47,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ._kernels import finish_kernel, front_kernel, geo_cycles_kernel
+from ._kernels import finish_kernel, geo_cycles_kernel
 from .types import ConfigurationError
 
 __all__ = ["HAVE_NUMBA", "Backend", "NumpyBackend", "NumbaBackend",
@@ -161,7 +160,7 @@ class Workspace:
 
 
 class Backend:
-    """One implementation of the lattice family's three hot kernels.
+    """One implementation of the lattice family's two hot kernels.
 
     Callers pass the *compute dtype* they derived from a closed-form
     bound (see :func:`minimal_dtype`); the backend guarantees the
@@ -200,14 +199,6 @@ class Backend:
         returned plane is always int64 (it is tiny next to the
         ``(A, cells)`` scratch, and downstream totals accumulate in
         int64 regardless).
-        """
-        raise NotImplementedError
-
-    def front_indices(self, n_pw: np.ndarray, area: np.ndarray,
-                      windows: np.ndarray) -> np.ndarray:
-        """Sorted indices of the 3-D Pareto front of
-        ``(n_pw, area, windows)`` (minimising, equality-tolerant) —
-        see ``core/sweep.py`` for the dominance argument.
         """
         raise NotImplementedError
 
@@ -317,33 +308,6 @@ class NumpyBackend(Backend):
         ws.release(mark)
         return best
 
-    def front_indices(self, n_pw: np.ndarray, area: np.ndarray,
-                      windows: np.ndarray) -> np.ndarray:
-        # Skyline scan in (n_pw, area, windows) lexicographic order:
-        # kept cells seen so far all have n_pw <= the candidate's, so a
-        # staircase over (area, windows) answers the dominance test in
-        # O(log front).
-        import bisect
-        order = np.lexsort((windows, area, n_pw))
-        keep = []
-        sky_area: list = []     # strictly increasing
-        sky_windows: list = []  # strictly decreasing
-        for flat in order:
-            a, w = int(area[flat]), int(windows[flat])
-            pos = bisect.bisect_right(sky_area, a)
-            if pos and sky_windows[pos - 1] <= w:
-                continue  # dominated (exact duplicates collapse here too)
-            keep.append(int(flat))
-            # Insert and drop staircase entries the new cell makes
-            # redundant *as dominance witnesses* (they stay kept).
-            lo = bisect.bisect_left(sky_area, a)
-            hi = lo
-            while hi < len(sky_area) and sky_windows[hi] >= w:
-                hi += 1
-            sky_area[lo:hi] = [a]
-            sky_windows[lo:hi] = [w]
-        return np.asarray(sorted(keep), dtype=np.int64)
-
 
 class NumbaBackend(Backend):
     """JIT loop kernels — no ``(arrays, cells)`` temporaries at all.
@@ -365,7 +329,6 @@ class NumbaBackend(Backend):
         from numba import njit  # pragma: no cover - numba-only path
         self._finish = njit(nogil=True)(finish_kernel)
         self._geo_cycles = njit(nogil=True)(geo_cycles_kernel)
-        self._front = njit(nogil=True)(front_kernel)
 
     # pragma-free bodies below run only under numba in practice; the
     # interpreted twins are covered via _kernels-level tests.
@@ -406,16 +369,6 @@ class NumbaBackend(Backend):
                          windows_f, n_pw_f, ic_f, oc_f, seg_starts,
                          seg_ends, seg_geo, out)
         return out
-
-    def front_indices(self, n_pw: np.ndarray, area: np.ndarray,
-                      windows: np.ndarray) -> np.ndarray:
-        order = np.lexsort((windows, area, n_pw))
-        keep = np.zeros(order.shape[0], dtype=np.bool_)
-        sky_area = np.empty(order.shape[0], dtype=np.int64)
-        sky_windows = np.empty(order.shape[0], dtype=np.int64)
-        self._front(n_pw, area, windows, order, keep, sky_area,
-                    sky_windows)
-        return np.flatnonzero(keep)
 
 
 #: Shared stateless instances — backends carry no mutable state (all

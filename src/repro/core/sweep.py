@@ -60,6 +60,7 @@ from .backend import Backend, Workspace, get_backend, minimal_dtype
 from .cache import LRUMemo, freeze_arrays
 from .layer import ConvLayer
 from .lattice import _geometry_key, _minimized, layer_lattice
+from .skyline import skyline
 from .types import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - layering guard, types only
@@ -76,33 +77,29 @@ def _as_int_vector(values: Iterable[int]) -> np.ndarray:
     return np.asarray(list(values), dtype=np.int64)
 
 
-#: Front-index memo keyed by the channel-free grid geometry plus the
-#: backend name — the dominance argument holds for every (IC, OC), so
-#: layers differing only in channels share one front; backends produce
-#: bit-identical fronts, but keying them separately keeps every cached
-#: artifact attributable to the backend that built it.
+#: Front-index memo keyed by the channel-free grid geometry — the
+#: dominance argument holds for every (IC, OC), so layers differing
+#: only in channels share one front.
 _FRONT_MEMO: LRUMemo = LRUMemo(maxsize=64)
 
 
-def _compute_window_front(layer: ConvLayer, backend: Backend) -> np.ndarray:
+def _compute_window_front(layer: ConvLayer) -> np.ndarray:
     grids = layer_lattice(layer)
     ok = grids.fits_ifm.ravel().copy()
     ok[0] = False  # the kernel-sized cell: im2col covers it
     candidates = np.flatnonzero(ok)
-    if candidates.size:
-        # The 3-D dominance prune: a cell dominated in all of
-        # (n_pw, area, windows) — equality allowed, at least one
-        # strict — can never be the eq. 8 minimum on any array, so
-        # only front cells survive into the batched sweep.
-        local = backend.front_indices(grids.n_pw.ravel()[candidates],
-                                      grids.area.ravel()[candidates],
-                                      grids.windows.ravel()[candidates])
-        candidates = candidates[local]
+    # The 3-D dominance prune: a cell dominated in all of
+    # (n_pw, area, windows) — equality allowed, at least one strict —
+    # can never be the eq. 8 minimum on any array, so only front cells
+    # survive into the batched sweep.
+    candidates = candidates[skyline(np.column_stack(
+        (grids.n_pw.ravel()[candidates], grids.area.ravel()[candidates],
+         grids.windows.ravel()[candidates])))]
     freeze_arrays(candidates)
     return candidates
 
 
-def _window_front(layer: ConvLayer, backend: Backend) -> np.ndarray:
+def _window_front(layer: ConvLayer) -> np.ndarray:
     """Cached flat indices of *layer*'s candidate-window Pareto front.
 
     Indices point into the row-major flattened window grid; the
@@ -110,9 +107,9 @@ def _window_front(layer: ConvLayer, backend: Backend) -> np.ndarray:
     IFM are excluded up front (Algorithm 1's candidate space).
     """
     key = (layer.ifm_h, layer.ifm_w, layer.kernel_h, layer.kernel_w,
-           layer.stride, layer.padding, backend.name)
+           layer.stride, layer.padding)
     return _FRONT_MEMO.get_or_compute(
-        key, lambda: _compute_window_front(layer, backend))
+        key, lambda: _compute_window_front(layer))
 
 
 @dataclass(frozen=True)
@@ -188,16 +185,12 @@ class NetworkLattice:
 
     @classmethod
     def for_network(cls, network: Iterable[ConvLayer],
-                    scheme: str = "vw-sdk",
-                    backend: Union[str, Backend, None] = None
-                    ) -> "NetworkLattice":
+                    scheme: str = "vw-sdk") -> "NetworkLattice":
         """Stack *network*'s distinct layer geometries for *scheme*.
 
         *network* is any iterable of :class:`ConvLayer` (a
-        :class:`repro.networks.Network` included).  *backend* selects
-        the compute backend for the dominance prunes (bit-identical
-        across backends; default the process ``"auto"`` resolution).
-        Raises :class:`ConfigurationError` for schemes outside
+        :class:`repro.networks.Network` included).  Raises
+        :class:`ConfigurationError` for schemes outside
         :data:`SUPPORTED` — callers should fall back to the engine.
 
         >>> layers = [ConvLayer.square(14, 3, 256, 256)] * 2
@@ -210,7 +203,6 @@ class NetworkLattice:
             raise ConfigurationError(
                 f"NetworkLattice supports {cls.SUPPORTED}, got {scheme!r}; "
                 f"use the MappingEngine batch path instead")
-        be = get_backend("auto" if backend is None else backend)
         layers = tuple(network)
         if not layers:
             raise ConfigurationError("NetworkLattice needs >= 1 layer")
@@ -240,7 +232,7 @@ class NetworkLattice:
         for index, layer in enumerate(rep):
             if scheme != "vw-sdk" or layer.stride != 1:
                 continue  # solve() answers these with im2col alone
-            front = _window_front(layer, be)
+            front = _window_front(layer)
             if not front.size:
                 continue  # kernel-only grid: im2col is the whole space
             grids = layer_lattice(layer)
@@ -421,13 +413,11 @@ class NetworkLattice:
 
 
 def network_lattice(network: Iterable[ConvLayer],
-                    scheme: str = "vw-sdk",
-                    backend: Union[str, Backend, None] = None
-                    ) -> NetworkLattice:
+                    scheme: str = "vw-sdk") -> NetworkLattice:
     """Convenience alias for :meth:`NetworkLattice.for_network`.
 
     >>> lat = network_lattice([ConvLayer.square(14, 3, 256, 256)])
     >>> lat.network_cycles(PIMArray.square(512))
     504
     """
-    return NetworkLattice.for_network(network, scheme, backend)
+    return NetworkLattice.for_network(network, scheme)

@@ -4,14 +4,19 @@ A window that minimises cycles is not always the one that maximises
 utilization (smaller windows waste fewer cells on the last channel
 tile).  :func:`window_pareto` extracts the cycles-vs-utilization
 frontier of a layer's full window landscape, which DSE examples use to
-show how sharp — or flat — the trade-off is.
+show how sharp — or flat — the trade-off is.  It reads cycles *and* the
+eq. 9 utilization straight off the vectorized lattice (closed-form
+whole-channel tile accounting, see
+:meth:`repro.core.lattice.CycleLattice.mean_utilization_pct`).
 
-:func:`window_pareto` reads cycles *and* the eq. 9 utilization straight
-off the vectorized lattice (closed-form whole-channel tile accounting,
-see :meth:`repro.core.lattice.CycleLattice.mean_utilization_pct`) and
-extracts the two-objective frontier with a sort-and-scan instead of the
-generic O(n^2) :func:`pareto_front`, so full-landscape sweeps over
-224x224 layers stay interactive.
+Every front in this module is pruned by the one O(N log N) skyline of
+:mod:`repro.core.skyline`; the generic O(n^2) :func:`pareto_front`
+survives only as the reference the tests compare against.  The tie
+rule: a point is dropped when another is ``<=`` on every objective and
+``<`` on one, and of exact duplicates the skyline keeps only the first
+— the array and chip fronts report that, while :func:`window_pareto`
+re-admits every window tied with a kept one, as :func:`pareto_front`
+would.
 
 :func:`array_pareto` answers the *hardware*-side question — which
 candidate array shapes are worth building for a network — by sweeping
@@ -53,6 +58,7 @@ from ..core.array import PIMArray
 from ..core.backend import Backend
 from ..core.cost import DEFAULT_COST_PARAMS, CostParams
 from ..core.layer import ConvLayer
+from ..core.skyline import skyline
 from ..core.types import ConfigurationError
 from ..core.utilization import utilization_report
 from ..networks.layerset import Network
@@ -145,6 +151,20 @@ def array_candidates(max_cells: int, *,
     return sorted(chosen, key=lambda a: (a.cells, a.rows))
 
 
+def _candidate_grid(max_cells: int, sides: Optional[Sequence[int]],
+                    square_only: bool) -> List[PIMArray]:
+    """:func:`array_candidates`, raising :class:`ConfigurationError`
+    when no candidate fits the budget."""
+    chosen = array_candidates(max_cells, sides=sides,
+                              square_only=square_only)
+    if not chosen:
+        raise ConfigurationError(
+            f"no candidate geometry fits max_cells={max_cells}"
+            + (f" with sides={tuple(sides)}" if sides else "")
+            + "; raise the budget or shrink the sides")
+    return chosen
+
+
 def array_pareto(network: Network,
                  candidates: Optional[Sequence[PIMArray]] = None,
                  scheme: str = "vw-sdk", *,
@@ -170,7 +190,8 @@ def array_pareto(network: Network,
     non-square by default; pass ``square_only=True`` for the
     squares-only baseline frontier.  Because squares are a subset of
     the generated grid, the non-square frontier always dominates or
-    equals the square-only one point for point.
+    equals the square-only one point for point.  An empty candidate
+    list, given or generated, raises :class:`ConfigurationError`.
 
     >>> from repro.networks import resnet18
     >>> front = array_pareto(resnet18(),
@@ -180,23 +201,15 @@ def array_pareto(network: Network,
     """
     eng = engine if engine is not None else default_engine()
     if candidates is None:
-        candidates = array_candidates(max_cells, sides=sides,
-                                      square_only=square_only)
+        candidates = _candidate_grid(max_cells, sides, square_only)
+    if not candidates:
+        raise ConfigurationError("array_pareto needs >= 1 candidate array")
     totals = eng.sweep_cycles(network, candidates, scheme, backend)
-    order = sorted(range(len(candidates)),
-                   key=lambda k: (candidates[k].cells, int(totals[k])))
-    front: List[ArrayDesignPoint] = []
-    best_cycles: Optional[int] = None
-    last_cells: Optional[int] = None
-    for k in order:
-        cells, cycles = candidates[k].cells, int(totals[k])
-        if cells == last_cells:
-            continue  # a cheaper-or-equal candidate at this cost won
-        if best_cycles is not None and cycles >= best_cycles:
-            continue  # dominated by a smaller array
-        front.append(ArrayDesignPoint(array=candidates[k], cycles=cycles))
-        best_cycles, last_cells = cycles, cells
-    return front
+    cells = np.asarray([a.cells for a in candidates], dtype=np.int64)
+    kept = skyline(np.column_stack((cells, totals)))
+    # Front cells are distinct, so sorting by cells alone is total.
+    return [ArrayDesignPoint(array=candidates[k], cycles=int(totals[k]))
+            for k in sorted(kept.tolist(), key=cells.__getitem__)]
 
 
 def zoo_pareto(networks: Optional[Sequence[str]] = None,
@@ -230,8 +243,7 @@ def zoo_pareto(networks: Optional[Sequence[str]] = None,
     from ..networks.zoo import NETWORKS, get_network
     names = list(NETWORKS) if networks is None else list(networks)
     eng = engine if engine is not None else default_engine()
-    candidates = array_candidates(max_cells, sides=sides,
-                                  square_only=square_only)
+    candidates = _candidate_grid(max_cells, sides, square_only)
     return {name: array_pareto(get_network(name), candidates, scheme,
                                engine=eng, backend=backend)
             for name in names}
@@ -272,13 +284,9 @@ class ChipDesignPoint:
         return (self.cells, self.energy_nj, self.bottleneck_cycles)
 
 
-def _non_dominated(values: np.ndarray) -> np.ndarray:
-    """Boolean keep-mask of the minimising Pareto front of *values*
-    (``(N, M)`` objective rows).  Vectorized pairwise dominance —
-    fine for the few thousand points chip frontiers produce."""
-    less_eq = (values[:, None, :] <= values[None, :, :]).all(axis=2)
-    less = (values[:, None, :] < values[None, :, :]).any(axis=2)
-    return ~(less_eq & less).any(axis=0)
+#: The chip-front prune, looked up through this module at call time so
+#: a profiler can wrap it.
+_non_dominated = skyline
 
 
 def chip_pareto(network: Network,
@@ -354,13 +362,7 @@ def chip_pareto(network: Network,
     eng = engine if engine is not None else default_engine()
     params = cost_params if cost_params is not None else DEFAULT_COST_PARAMS
     if geometries is None:
-        geometries = array_candidates(max_cells, sides=sides,
-                                      square_only=True)
-        if not geometries:
-            raise ConfigurationError(
-                f"no candidate geometry fits max_cells={max_cells}"
-                + (f" with sides={tuple(sides)}" if sides else "")
-                + "; raise the budget or shrink the sides")
+        geometries = _candidate_grid(max_cells, sides, square_only=True)
     layers = tuple(network)
     plans = pool_plans(layers, geometries, scheme, include_mixed=pools,
                        engine=eng, cost_params=params)
@@ -406,16 +408,8 @@ def chip_pareto(network: Network,
             f"max_arrays={max_arrays}; target {target_bottleneck} is "
             f"out of reach", best=best_bottleneck)
 
-    values = np.asarray([[p.cells, p.energy_nj, p.bottleneck_cycles]
-                         for p in points], dtype=np.float64)
-    keep = _non_dominated(values)
-    seen = set()
-    front: List[ChipDesignPoint] = []
-    for point, kept in zip(points, keep):
-        if not kept or point.objectives in seen:
-            continue
-        seen.add(point.objectives)
-        front.append(point)
+    values = np.asarray([p.objectives for p in points], dtype=np.float64)
+    front = [points[k] for k in _non_dominated(values).tolist()]
     front.sort(key=lambda p: (p.cells, -p.bottleneck_cycles, p.energy_nj))
     if fidelity is not None and fidelity is not False:
         from ..pim.replay import FidelitySpec
@@ -470,30 +464,19 @@ def window_pareto(layer: ConvLayer, array: PIMArray) -> List[ParetoPoint]:
              float(mean[i, j]), float(peak[i, j]))
             for i, j in space.iter_cells(order="area"))
 
-    # Two-objective minimising front by sort-and-scan: a point is
-    # dominated iff some strictly cheaper point matches its utilization,
-    # or some point at most as expensive strictly beats it.
-    order = sorted(range(len(entries)), key=lambda k: entries[k][1])
+    # Minimise (cycles, -mean utilization); the skyline keeps one of
+    # each exact tie, and every window tied with a kept one rejoins.
+    cycles = np.asarray([entry[1] for entry in entries], dtype=np.int64)
+    mean_pct = np.asarray([entry[2] for entry in entries], dtype=np.float64)
+    kept = skyline(np.column_stack((cycles, -mean_pct)))
+    front_keys = set(zip(cycles[kept].tolist(), mean_pct[kept].tolist()))
     front: List[ParetoPoint] = []
-    best_u_cheaper = float("-inf")
-    start = 0
-    while start < len(order):
-        stop = start
-        cycles = entries[order[start]][1]
-        while stop < len(order) and entries[order[stop]][1] == cycles:
-            stop += 1
-        group = order[start:stop]
-        group_best_u = max(entries[k][2] for k in group)
-        for k in group:
-            label, _, mean_pct, peak_pct = entries[k]
-            if best_u_cheaper >= mean_pct or group_best_u > mean_pct:
-                continue
-            if not isinstance(label, str):
-                label = str(lattice.window_at(*label))
-            front.append(ParetoPoint(
-                window=label, cycles=cycles,
-                mean_utilization_pct=mean_pct,
-                peak_utilization_pct=peak_pct))
-        best_u_cheaper = max(best_u_cheaper, group_best_u)
-        start = stop
+    for label, cyc, mean_u, peak_u in sorted(entries, key=lambda e: e[1]):
+        if (cyc, mean_u) not in front_keys:
+            continue
+        if not isinstance(label, str):
+            label = str(lattice.window_at(*label))
+        front.append(ParetoPoint(window=label, cycles=cyc,
+                                 mean_utilization_pct=mean_u,
+                                 peak_utilization_pct=peak_u))
     return front

@@ -18,11 +18,10 @@ that, with classic circuit-breaker state:
 
 Counters (``trips``, ``primary_failures``, ``fallback_calls``,
 ``probes``) surface through ``MappingEngine.stats``.  The kernel entry
-points are fault points (``backend.finish`` / ``backend.geo_cycles`` /
-``backend.front_indices``) so a seeded
-:class:`~repro.runtime.faults.FaultPlan` can crash the primary
-deterministically — the property suite proves post-trip results are
-bit-identical to the fault-free run.
+points are fault points (``backend.finish`` / ``backend.geo_cycles``)
+so a seeded :class:`~repro.runtime.faults.FaultPlan` can crash the
+primary deterministically — the property suite proves post-trip
+results are bit-identical to the fault-free run.
 """
 
 from __future__ import annotations
@@ -37,19 +36,15 @@ from ..core.types import ConfigurationError
 from .faults import fault_point, register_fault_site
 
 __all__ = ["CircuitBreaker", "BreakerBackend",
-           "SITE_FINISH", "SITE_GEO_CYCLES", "SITE_FRONT"]
+           "SITE_FINISH", "SITE_GEO_CYCLES"]
 
 SITE_FINISH = register_fault_site(
     "backend.finish", "primary backend crash in the eqs. 4-8 finisher")
 SITE_GEO_CYCLES = register_fault_site(
     "backend.geo_cycles", "primary backend crash in the (A, G) sweep "
     "kernel")
-SITE_FRONT = register_fault_site(
-    "backend.front_indices", "primary backend crash in the Pareto-front "
-    "scan")
 
-_SITE_OF_METHOD = {"finish": SITE_FINISH, "geo_cycles": SITE_GEO_CYCLES,
-                   "front_indices": SITE_FRONT}
+_SITE_OF_METHOD = {"finish": SITE_FINISH, "geo_cycles": SITE_GEO_CYCLES}
 
 #: Breaker states.
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
@@ -124,7 +119,7 @@ class CircuitBreaker:
 class BreakerBackend(Backend):
     """A :class:`~repro.core.backend.Backend` guarded by a breaker.
 
-    Delegates the three kernel methods to *primary* while the circuit
+    Delegates the two kernel methods to *primary* while the circuit
     allows it, demoting to *fallback* (numpy unless told otherwise) on
     any exception.  Values are bit-identical either way — that is the
     backend contract this wrapper leans on, and the property suite
@@ -172,7 +167,3 @@ class BreakerBackend(Backend):
         return self._call("geo_cycles", rows, cols, n_win, im2col_rows,
                           oc, area_f, windows_f, n_pw_f, ic_f, oc_f,
                           seg_starts, seg_geo, dtype, workspace=workspace)
-
-    def front_indices(self, n_pw: np.ndarray, area: np.ndarray,
-                      windows: np.ndarray) -> np.ndarray:
-        return self._call("front_indices", n_pw, area, windows)

@@ -569,8 +569,7 @@ def _chip_pareto_surface(rng: random.Random,
                   summary="numpy vs interpreted numba kernels (JIT too "
                           "when installed) on the same sweep")
 def _backend_surface(rng: random.Random, tmp_dir: Path) -> Optional[str]:
-    from ..core._kernels import (finish_kernel, front_kernel,
-                                 geo_cycles_kernel)
+    from ..core._kernels import finish_kernel, geo_cycles_kernel
     from ..core.backend import HAVE_NUMBA, NumbaBackend, get_backend
 
     class InterpretedBackend(NumbaBackend):
@@ -580,7 +579,6 @@ def _backend_surface(rng: random.Random, tmp_dir: Path) -> Optional[str]:
         def __init__(self) -> None:
             self._finish = finish_kernel
             self._geo_cycles = geo_cycles_kernel
-            self._front = front_kernel
 
     layers = [_random_layer(rng) for _ in range(rng.randint(1, 3))]
     arrays = [_random_array(rng) for _ in range(rng.randint(1, 4))]

@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 
 from repro.api import MappingEngine
 from repro.core import ConvLayer, PIMArray
-from repro.core._kernels import (finish_kernel, front_kernel,
-                                 geo_cycles_kernel)
+from repro.core._kernels import finish_kernel, geo_cycles_kernel
 from repro.core.backend import (HAVE_NUMBA, Backend, NumbaBackend,
                                 NumpyBackend, Workspace, get_backend,
                                 minimal_dtype)
@@ -48,7 +47,6 @@ class KernelBackend(NumbaBackend):
     def __init__(self) -> None:  # deliberately no numba requirement
         self._finish = finish_kernel
         self._geo_cycles = geo_cycles_kernel
-        self._front = front_kernel
 
 
 def all_backends():
@@ -117,45 +115,30 @@ def test_feasible_cells_match_scalar_oracle(layer, array):
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: network sweep evaluation + dominance prune
+# Bit-identity: network sweep evaluation
 # ----------------------------------------------------------------------
 
 @given(st.lists(layers, min_size=1, max_size=3),
        st.lists(arrays, min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_network_sweep_bit_identical_across_backends(net, probe):
-    ref = NetworkLattice.for_network(net, "vw-sdk", backend="numpy")
-    expected = ref.cycles_for(probe)
+    lattice = NetworkLattice.for_network(net, "vw-sdk")
+    expected = lattice.cycles_for(probe, backend="numpy")
     for backend in all_backends()[1:]:
-        lattice = NetworkLattice.for_network(net, "vw-sdk",
-                                             backend=backend)
-        assert np.array_equal(lattice.cycles_for(probe), expected), \
-            backend.name
-        assert lattice.network_cycles(probe[0]) == int(expected[0])
+        assert np.array_equal(lattice.cycles_for(probe, backend=backend),
+                              expected), backend.name
+        assert lattice.network_cycles(probe[0], backend=backend) == \
+            int(expected[0]), backend.name
 
 
 @given(st.lists(layers, min_size=1, max_size=2), arrays)
 @settings(max_examples=30, deadline=None)
 def test_network_sweep_matches_per_layer_solver(net, array):
     total = sum(solve(layer, array, "vw-sdk").cycles for layer in net)
+    lattice = NetworkLattice.for_network(net, "vw-sdk")
     for backend in all_backends():
-        lattice = NetworkLattice.for_network(net, "vw-sdk",
-                                             backend=backend)
-        assert lattice.network_cycles(array) == total, backend.name
-
-
-@given(st.lists(st.tuples(st.integers(min_value=1, max_value=40),
-                          st.integers(min_value=1, max_value=40),
-                          st.integers(min_value=1, max_value=40)),
-                min_size=1, max_size=60))
-@settings(max_examples=60, deadline=None)
-def test_front_indices_bit_identical_across_backends(cells):
-    n_pw, area, windows = (np.asarray(col, dtype=np.int64)
-                           for col in zip(*cells))
-    expected = NumpyBackend().front_indices(n_pw, area, windows)
-    for backend in all_backends()[1:]:
-        got = backend.front_indices(n_pw, area, windows)
-        assert np.array_equal(got, expected), backend.name
+        assert lattice.network_cycles(array, backend=backend) == total, \
+            backend.name
 
 
 # ----------------------------------------------------------------------

@@ -193,7 +193,8 @@ class TestDseCommand:
 
     def test_bad_sides_and_budget_exit_cleanly(self):
         for argv in (["--sides", "64,abc"], ["--sides", ","],
-                     ["--sides", "0,64"], ["--max-cells", "0"]):
+                     ["--sides", "0,64"], ["--max-cells", "0"],
+                     ["--non-square", "--max-cells", "16"]):
             with pytest.raises(SystemExit):
                 main(["dse", "sweep", "resnet18"] + argv)
 

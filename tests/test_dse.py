@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ConvLayer, PIMArray
-from repro.core.types import ReproError
+from repro.core.types import ConfigurationError, ReproError
 from repro.dse import (
     InfeasibleTargetError,
     array_candidates,
@@ -13,6 +13,7 @@ from repro.dse import (
     smallest_chip,
     smallest_square_array,
     window_pareto,
+    zoo_pareto,
 )
 from repro.networks import Network, resnet18
 
@@ -136,6 +137,18 @@ class TestPareto:
         twice = [PIMArray.square(256), PIMArray.square(256)]
         front = array_pareto(resnet18(), twice)
         assert len(front) == 1
+
+    def test_array_pareto_rejects_empty_candidates(self):
+        # A budget no candidate fits is a configuration error, not an
+        # empty frontier; so is an explicitly empty candidate list.
+        with pytest.raises(ConfigurationError, match="max_cells=16"):
+            array_pareto(resnet18(), max_cells=16)
+        with pytest.raises(ConfigurationError, match="max_cells=16"):
+            zoo_pareto(["resnet18"], max_cells=16)
+        with pytest.raises(ConfigurationError, match="sides=\\(64,\\)"):
+            array_pareto(resnet18(), max_cells=32 * 32, sides=(64,))
+        with pytest.raises(ConfigurationError):
+            array_pareto(resnet18(), [])
 
     def test_array_pareto_fallback_scheme(self):
         candidates = [PIMArray.square(s) for s in (128, 512)]

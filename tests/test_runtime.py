@@ -64,7 +64,7 @@ class TestFaultPlan:
     def test_sites_self_register_at_import(self):
         for site in ("store.open", "store.read", "store.append",
                      "store.compact", "backend.finish",
-                     "backend.geo_cycles", "backend.front_indices"):
+                     "backend.geo_cycles"):
             assert site in FAULT_SITES
 
     def test_unknown_site_fails_fast_with_suggestion(self):
