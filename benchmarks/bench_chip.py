@@ -32,8 +32,8 @@ from repro.networks import resnet18, vgg13
 
 ARRAY = PIMArray.square(512)
 
-#: The smallest_chip-style probe grid: every count a bisection or a
-#: scaling study could visit, floor to a few thousand arrays.
+#: A scaling-study probe grid: every count from below the floor to a
+#: few thousand arrays.
 SWEEP_COUNTS = tuple(range(1, 4097, 8))
 
 Outcome = Tuple[int, int, int]

@@ -91,7 +91,7 @@ def test_smallest_array_bisection(benchmark):
     benchmark.extra_info["side"] = array.rows
 
 
-def test_smallest_chip_bisection(benchmark):
+def test_smallest_chip_closed_form(benchmark):
     """Fewest 512x512 crossbars for a 200-cycle pipeline bottleneck."""
     chip = benchmark(smallest_chip, resnet18(), PIMArray.square(512), 200,
                      max_arrays=4096)

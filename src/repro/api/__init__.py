@@ -22,9 +22,9 @@ New schemes plug in with one decorator::
     def my_solution(layer, array):
         ...
 
-Legacy entry points (``repro.search.solve``, ``SCHEMES``,
-``map_network``, ``compare_schemes``, ``plan_pipeline``, the CLI) all
-route through the shared :func:`default_engine`, so identical
+Legacy entry points (``repro.search.solve``, ``map_network``,
+``compare_schemes``, ``plan_pipeline``, the CLI) all route through the
+shared :func:`default_engine`, so identical
 ``(layer geometry, array, scheme)`` problems are solved exactly once
 per process.
 """
@@ -34,7 +34,6 @@ from .registry import (
     DEFAULT_REGISTRY,
     DuplicateSchemeError,
     SchemeInfo,
-    SchemesView,
     SolverRegistry,
     UnknownSchemeError,
     register_scheme,
@@ -46,7 +45,6 @@ __all__ = [
     # registry
     "SolverRegistry",
     "SchemeInfo",
-    "SchemesView",
     "register_scheme",
     "DEFAULT_REGISTRY",
     "UnknownSchemeError",

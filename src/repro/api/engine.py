@@ -35,8 +35,9 @@ Chip-level planning gets the same treatment
 (:meth:`MappingEngine.chip_lattice` / :meth:`~MappingEngine.chip_sweep`):
 the min-max greedy's budget-independent state is precomputed once per
 ``(network, array, scheme)`` as a :class:`~repro.chip.sweep.ChipLattice`
-and replayed per array-count probe, so ``smallest_chip`` bisections and
-chip-sweep grids never re-run the per-probe ``heapq`` allocator.
+and replayed per array-count probe, so chip-sweep grids and Pareto
+frontiers never re-run the per-probe ``heapq`` allocator, and
+``smallest_chip`` reads its answer off the lattice in closed form.
 
 The engine can carry the fault-tolerant runtime substrate
 (:mod:`repro.runtime`, ``docs/robustness.md``): a crash-safe
@@ -686,8 +687,7 @@ class MappingEngine:
                 and self.BATCHABLE in self.registry.get(scheme).capabilities)
 
     def network_sweep(self, network: Iterable[ConvLayer],
-                      scheme: str = "vw-sdk",
-                      backend: Union[str, Backend, None] = None
+                      scheme: str = "vw-sdk"
                       ) -> Optional[NetworkLattice]:
         """The memoized batched lattice for *network*, or ``None``.
 
@@ -697,9 +697,9 @@ class MappingEngine:
         analytical form (or its solver was replaced in the registry)
         and callers must take the memoized :meth:`map_batch` path
         instead.  Lattices are keyed by the per-layer geometry
-        sequence plus the resolved backend name (*backend* overrides
-        the engine's own for this request), so equal-shape networks
-        share one per backend.
+        sequence alone, so equal-shape networks share one: a lattice
+        involves no backend arithmetic, only its
+        :meth:`~NetworkLattice.cycles_for` evaluation does.
 
         >>> engine = MappingEngine()
         >>> from repro.networks import resnet18
@@ -711,9 +711,8 @@ class MappingEngine:
         self.registry.solver(scheme)  # fail fast on unknown names
         if not self._batchable(scheme):
             return None
-        be = self._resolve_backend(backend)
         layers = tuple(network)
-        key = (scheme, NetworkLattice.geometry_key(layers), be.name)
+        key = (scheme, NetworkLattice.geometry_key(layers))
         return self._sweeps.get_or_compute(
             key, lambda: NetworkLattice.for_network(layers, scheme))
 
@@ -768,7 +767,7 @@ class MappingEngine:
         """
         layers = tuple(network)
         arrays = list(arrays)
-        sweep = self.network_sweep(layers, scheme, backend)
+        sweep = self.network_sweep(layers, scheme)
         if sweep is not None:
             return sweep.cycles_for(arrays,
                                     backend=self._resolve_backend(backend),
@@ -798,12 +797,12 @@ class MappingEngine:
         The lattice precomputes the min-max greedy's budget-independent
         state (per-stage latency staircases merged into consideration
         order) from the engine's per-layer solutions, so chip-level
-        probes — ``smallest_chip`` bisections, :meth:`chip_sweep`
-        grids, :meth:`chip_pareto` frontiers — replay it instead of
-        re-running the ``heapq`` greedy.  *array* is one
-        :class:`~repro.core.array.PIMArray` for a homogeneous chip or a
-        per-layer sequence for a heterogeneous pool plan
-        (:mod:`repro.chip.pools`).  With *cost_params*
+        probes — :meth:`chip_sweep` grids, :meth:`chip_pareto`
+        frontiers — replay it instead of re-running the ``heapq``
+        greedy, and ``smallest_chip`` sizes a chip from it in closed
+        form.  *array* is one :class:`~repro.core.array.PIMArray` for
+        a homogeneous chip or a per-layer sequence for a heterogeneous
+        pool plan (:mod:`repro.chip.pools`).  With *cost_params*
         (:class:`~repro.core.cost.CostParams`) every stage is priced
         once and sweeps also report energy/area.  Keyed by the
         per-layer ``(geometry, array, repeats)`` sequence, the cost

@@ -14,9 +14,6 @@ The :class:`~repro.api.engine.MappingEngine` resolves scheme names
 through a registry, so a registered scheme is immediately usable from
 ``solve()``, ``map_network``, the chip planner, the CLI and the batch
 API — no other module needs editing.
-
-The legacy ``repro.search.SCHEMES`` dict survives as a read-only live
-view of the default registry (see :class:`SchemesView`).
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from typing import (
     Callable,
     Dict,
     Iterator,
-    Mapping,
     Optional,
     Tuple,
     TYPE_CHECKING,
@@ -45,7 +41,6 @@ __all__ = [
     "Solver",
     "SchemeInfo",
     "SolverRegistry",
-    "SchemesView",
     "UnknownSchemeError",
     "DuplicateSchemeError",
     "register_scheme",
@@ -221,38 +216,9 @@ class SolverRegistry:
             return len(self._schemes)
 
 
-class SchemesView(Mapping):
-    """Deprecated read-only ``{name: solver}`` view of a registry.
-
-    ``repro.search.SCHEMES`` is one of these: it keeps every legacy
-    ``SCHEMES[name]`` / ``sorted(SCHEMES)`` call site working while the
-    registry remains the single source of truth — schemes registered
-    after import show up here immediately.
-    """
-
-    def __init__(self, registry: SolverRegistry) -> None:
-        self._registry = registry
-
-    def __getitem__(self, name: str) -> Solver:  # noqa: D105
-        try:
-            return self._registry.solver(name)
-        except UnknownSchemeError:
-            raise KeyError(name) from None
-
-    def __iter__(self) -> Iterator[str]:  # noqa: D105
-        return iter(self._registry)
-
-    def __len__(self) -> int:  # noqa: D105
-        return len(self._registry)
-
-    def __repr__(self) -> str:  # noqa: D105
-        return (f"SchemesView({{{', '.join(repr(n) for n in self)}}} "
-                f"— deprecated, use repro.api.DEFAULT_REGISTRY)")
-
-
-#: The process-wide registry the default engine and the legacy
-#: ``SCHEMES`` view resolve against.  The built-in schemes register
-#: themselves here from their definition modules in ``repro.search``.
+#: The process-wide registry the default engine and the CLI resolve
+#: against.  The built-in schemes register themselves here from their
+#: definition modules in ``repro.search``.
 DEFAULT_REGISTRY = SolverRegistry()
 
 

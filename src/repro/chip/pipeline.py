@@ -102,10 +102,10 @@ def plan_pipeline(network: Network, chip: ChipConfig,
     Per-layer mappings come from *engine* (the shared
     :func:`repro.api.default_engine` by default), so planning a chip
     for a network that was already mapped costs no solver time.
-    Callers replanning the *same* network/array many times — e.g. the
-    ``smallest_chip`` bisection over array counts — can pass the
-    per-layer *solutions* (one per network layer, in order) to skip
-    even the memo lookups.
+    Callers replanning the *same* network/array many times — e.g. an
+    oracle replaying a grid of array counts — can pass the per-layer
+    *solutions* (one per network layer, in order) to skip even the
+    memo lookups.
 
     Raises :class:`InsufficientArraysError` when even the residency
     minimum (one array per tile programming, times block repeats) does

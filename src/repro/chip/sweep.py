@@ -2,10 +2,10 @@
 
 :func:`~repro.chip.pipeline.plan_pipeline`'s min-max greedy answers one
 question per call — *the* bottleneck for *one* array count — by popping
-a ``heapq`` once per replica granted.  The DSE entry points ask it over
-and over: ``smallest_chip`` bisects array counts, sweep studies walk a
-whole probe grid, and with ``max_arrays`` in the millions a single
-probe can mean hundreds of thousands of heap operations.
+a ``heapq`` once per replica granted.  Sweep studies and Pareto
+frontiers ask it over a whole probe grid, and with budgets in the
+millions a single probe can mean hundreds of thousands of heap
+operations.
 
 A :class:`ChipLattice` precomputes everything about the greedy that
 does **not** depend on the budget and answers every probe from it:
@@ -26,16 +26,13 @@ does **not** depend on the budget and answers every probe from it:
   keeps upgrading, so the replay is bit-identical to the ``heapq``
   run (property-tested against it on randomized networks).
 
-Two replay engines share the precomputation:
-
-* :meth:`ChipLattice.sweep` answers a whole **vector** of array counts
-  in one pass — one scan over the merged groups with every probe's
-  budget/replica state advanced as NumPy vectors;
-* the scalar path behind :meth:`ChipLattice.outcome` skips along the
-  merged groups by **binary search** over their cumulative cost
-  (corrected for dropped stages), paying ``O(stages x log groups)``
-  per probe instead of one heap operation per replica — this is what
-  makes ``smallest_chip``'s bisection cheap even at huge budgets.
+:meth:`ChipLattice.sweep` is the one replay: it answers a whole
+**vector** of array counts in one scan over the merged groups, every
+probe's budget/replica state advanced as NumPy vectors
+(:meth:`ChipLattice.outcome` is a one-probe sweep).  The inverse
+question — the fewest arrays meeting a bottleneck target ``T`` — needs
+no replay at all: :meth:`ChipLattice.min_arrays` answers it in closed
+form, ``B(T) = sum_s ceil(n_pw_s / T) * step_s``.
 
 >>> from repro.core import PIMArray
 >>> from repro.networks import resnet18
@@ -45,14 +42,16 @@ Two replay engines share the precomputation:
 >>> sweep = lat.sweep([32, 64, 256])
 >>> sweep.bottleneck_cycles.tolist()
 [243, 81, 18]
+>>> lat.min_arrays(81)                     # fewest arrays meeting 81
+64
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union, overload)
 
 import numpy as np
 
@@ -195,17 +194,17 @@ class ChipSweep:
         return out
 
 
-def _stage_staircase(n_pw: int) -> List[Tuple[int, int, int]]:
-    """One stage's upgrade staircase: ``(latency, k_start, count)`` runs.
+def _stage_staircase(n_pw: int) -> List[Tuple[int, int]]:
+    """One stage's upgrade staircase: ``(latency, count)`` runs.
 
-    Run ``(L, k, c)`` covers the upgrades from ``k`` to ``k + c``
-    replicas, each considered while the stage's latency is ``L =
-    ceil(n_pw / k')`` for every ``k'`` in the run.  Runs stop at
-    latency 2: a stage at latency 1 is never upgraded (the greedy's
-    ``latency == 1`` skip), and latencies are enumerated by the divisor
-    trick, so the staircase has ``O(sqrt(n_pw))`` runs.
+    Consecutive runs cover consecutive replica counts from 1: run
+    ``(L, c)`` holds the ``c`` upgrades each considered while the
+    stage's latency is ``L = ceil(n_pw / k)``.  Runs stop at latency 2:
+    a stage at latency 1 is never upgraded (the greedy's ``latency ==
+    1`` skip), and latencies are enumerated by the divisor trick, so
+    the staircase has ``O(sqrt(n_pw))`` runs.
     """
-    runs: List[Tuple[int, int, int]] = []
+    runs: List[Tuple[int, int]] = []
     k = 1
     while k < n_pw:
         latency = ceil_div(n_pw, k)
@@ -213,7 +212,7 @@ def _stage_staircase(n_pw: int) -> List[Tuple[int, int, int]]:
             break
         k_hi = ceil_div(n_pw, latency - 1) - 1  # last k at this latency
         k_hi = min(k_hi, n_pw - 1)
-        runs.append((latency, k, k_hi - k + 1))
+        runs.append((latency, k_hi - k + 1))
         k = k_hi + 1
     return runs
 
@@ -224,14 +223,14 @@ class ChipLattice:
 
     Build with :meth:`for_solutions` (per-layer mappings in network
     order, e.g. from :meth:`repro.api.MappingEngine.solve`) or
-    :meth:`for_network`; evaluate with :meth:`outcome` (one array
-    count) or :meth:`sweep` (a whole probe vector, one pass).
+    :meth:`for_network`; evaluate with :meth:`sweep` (a whole probe
+    vector, one pass) or :meth:`outcome` (one array count), and size
+    a chip for a bottleneck target with :meth:`min_arrays`.
 
     The precomputed state is the merged upgrade-group sequence
     described in the module docstring: ``group_stage`` /
-    ``group_cost`` / ``group_count`` / ``group_k`` are aligned ``(G,)``
-    vectors in greedy consideration order, and ``group_cum`` the
-    cumulative cost of fully applying every prefix.
+    ``group_cost`` / ``group_count`` are aligned ``(G,)`` vectors in
+    greedy consideration order.
     """
 
     #: The per-layer solutions the stages were derived from, in order.
@@ -246,8 +245,6 @@ class ChipLattice:
     group_stage: np.ndarray
     group_cost: np.ndarray
     group_count: np.ndarray
-    group_k: np.ndarray
-    group_cum: np.ndarray
     #: Crossbar cells of each stage's own array geometry: ``(S,)``
     #: int64.  Heterogeneous pools feed mixed-geometry solutions, so
     #: area accounting must be per stage, not per chip.
@@ -318,33 +315,30 @@ class ChipLattice:
         stage_v = np.empty(total, dtype=np.int64)
         cost_v = np.empty(total, dtype=np.int64)
         count_v = np.empty(total, dtype=np.int64)
-        k_v = np.empty(total, dtype=np.int64)
         step_list = step.tolist()
         pos = 0
         for stage, runs in enumerate(staircases):
-            for latency, k, count in runs:
+            for latency, count in runs:
                 lat_v[pos] = latency
                 stage_v[pos] = stage
                 cost_v[pos] = step_list[stage]
                 count_v[pos] = count
-                k_v[pos] = k
                 pos += 1
-        # Greedy consideration order: latency desc, stage asc, k asc.
-        order = np.lexsort((k_v, stage_v, -lat_v))
+        # Greedy consideration order: latency desc, stage asc (a stage
+        # has one run per latency, so the order is total).
+        order = np.lexsort((stage_v, -lat_v))
         stage_v, cost_v = stage_v[order], cost_v[order]
-        count_v, k_v = count_v[order], k_v[order]
-        cum = np.cumsum(cost_v * count_v)
+        count_v = count_v[order]
         # Instances are shared via the engine memo: freeze every vector.
         vectors = [n_pw, tiles, repeats, step, cells,
-                   stage_v, cost_v, count_v, k_v, cum]
+                   stage_v, cost_v, count_v]
         if stage_energy is not None:
             vectors.append(stage_energy)
         frozen_arrays(vectors)
         return cls(solutions=solutions, n_pw=n_pw, tiles=tiles,
                    repeats=repeats, step=step, group_stage=stage_v,
-                   group_cost=cost_v, group_count=count_v, group_k=k_v,
-                   group_cum=cum, cells=cells, cost_params=cost_params,
-                   stage_energy_nj=stage_energy)
+                   group_cost=cost_v, group_count=count_v, cells=cells,
+                   cost_params=cost_params, stage_energy_nj=stage_energy)
 
     @classmethod
     def for_network(cls, network: "Iterable[ConvLayer]", array: "PIMArray",
@@ -516,98 +510,14 @@ class ChipLattice:
         )
 
     # ------------------------------------------------------------------
-    # Scalar replay (bisection probes): merged binary search
+    # Single probes and inverse sizing
     # ------------------------------------------------------------------
-    def _scalar_replicas(self, budget: int) -> List[int]:
-        """Greedy final replicas for one budget, by prefix bisection.
-
-        Walks the merged groups by binary search over their cumulative
-        cost: the first prefix whose (drop-corrected) cost exceeds the
-        budget locates the next stage to drop, its partial run is
-        applied, and the search resumes past it.  Each iteration drops
-        one stage, so a probe costs ``O(stages x log groups)``.
-        """
-        replicas = [1] * self.num_stages
-        if budget <= 0:
-            return replicas
-        cum = self.group_cum
-        stage_v, cost_v = self.group_stage, self.group_cost
-        count_v, k_v = self.group_count, self.group_k
-        # Per-stage group positions + cumulative own-cost, for the
-        # drop correction (built lazily once, shared across probes).
-        positions, own_cum = self._stage_positions()
-        dropped: Dict[int, Tuple[int, int]] = {}  # stage -> (group, take)
-
-        def drop_correction(t: int) -> int:
-            """Cost counted in ``cum[t-1]`` that dropped stages never
-            spend: their partial run remainder + all later groups."""
-            correction = 0
-            for stage, (g, take) in dropped.items():
-                if g >= t:
-                    continue
-                correction += int(cost_v[g]) * (int(count_v[g]) - take)
-                pos = positions[stage]
-                lo = bisect_right(pos, g)
-                hi = bisect_left(pos, t)
-                if hi > lo:
-                    correction += own_cum[stage][hi] - own_cum[stage][lo]
-            return correction
-
-        start = 0
-        while start < self.num_groups:
-            # Smallest prefix t > start whose effective cost overflows.
-            lo, hi = start, self.num_groups
-            if int(cum[hi - 1]) - drop_correction(hi) <= budget:
-                break  # every remaining live upgrade is affordable
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if int(cum[mid - 1]) - drop_correction(mid) <= budget:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            t = lo  # groups [0, t) fully apply; group t overflows
-            stage = int(stage_v[t])
-            remaining = budget - (int(cum[t - 1]) - drop_correction(t)
-                                  if t else 0)
-            take = remaining // int(cost_v[t])
-            dropped[stage] = (t, take)
-            start = t + 1
-
-        # Materialise: live stages climbed their whole staircase
-        # (latency 1); dropped stages stopped inside their kill group.
-        for stage in range(self.num_stages):
-            if stage in dropped:
-                g, take = dropped[stage]
-                replicas[stage] = int(k_v[g]) + take
-            elif positions[stage]:
-                last = positions[stage][-1]
-                replicas[stage] = int(k_v[last]) + int(count_v[last])
-        return replicas
-
-    def _stage_positions(self) -> Tuple[List[List[int]], List[List[int]]]:
-        """Per-stage merged-group positions and own-cost prefix sums."""
-        cached = getattr(self, "_positions_cache", None)
-        if cached is not None:
-            return cached
-        positions: List[List[int]] = [[] for _ in range(self.num_stages)]
-        for g, stage in enumerate(self.group_stage.tolist()):
-            positions[stage].append(g)
-        costs = (self.group_cost * self.group_count).tolist()
-        own_cum: List[List[int]] = []
-        for pos in positions:
-            acc, sums = 0, [0]
-            for g in pos:
-                acc += costs[g]
-                sums.append(acc)
-            own_cum.append(sums)
-        object.__setattr__(self, "_positions_cache", (positions, own_cum))
-        return positions, own_cum
-
     def outcome(self, num_arrays: int) -> Optional[ChipOutcome]:
         """The greedy plan's numbers for one array count.
 
-        ``None`` when the budget cannot hold the weights resident —
-        mirroring :func:`~repro.chip.pipeline.plan_pipeline` raising
+        A one-probe :meth:`sweep`.  ``None`` when the budget cannot hold
+        the weights resident — mirroring
+        :func:`~repro.chip.pipeline.plan_pipeline` raising
         :class:`~repro.chip.pipeline.InsufficientArraysError`.
 
         >>> from repro.core import PIMArray
@@ -618,34 +528,46 @@ class ChipLattice:
         >>> lat.outcome(64).arrays_used
         64
         """
-        budget = num_arrays - self.floor_arrays
-        if budget < 0:
-            return None
-        replicas = self._scalar_replicas(budget)
-        positions = self.n_pw.tolist()
-        steps = self.step.tolist()
-        latencies = [ceil_div(p, r) for p, r in zip(positions, replicas)]
-        spent = sum((r - 1) * s for r, s in zip(replicas, steps))
-        bottleneck = max(latencies)
-        cells = sum(r * s * c for r, s, c in
-                    zip(replicas, steps, self.cells.tolist()))
-        energy = latency_us = None
-        if self.cost_params is not None:
-            energy = self.total_energy_nj
-            latency_us = bottleneck * self.cost_params.cycle_time_ns / 1000.0
-        return ChipOutcome(
-            num_arrays=num_arrays,
-            bottleneck_cycles=bottleneck,
-            fill_latency_cycles=sum(latencies),
-            arrays_used=self.floor_arrays + spent,
-            cells_used=cells,
-            energy_nj=energy,
-            latency_us=latency_us)
+        return self.sweep([num_arrays]).outcome(0)
 
     def bottleneck_at(self, num_arrays: int) -> Optional[int]:
         """Steady-state bottleneck for one count (``None``: infeasible)."""
         point = self.outcome(num_arrays)
         return None if point is None else point.bottleneck_cycles
+
+    @overload
+    def min_arrays(self, bottleneck: int) -> int: ...
+
+    @overload
+    def min_arrays(self, bottleneck: np.ndarray) -> np.ndarray: ...
+
+    def min_arrays(self, bottleneck: Union[int, np.ndarray]
+                   ) -> Union[int, np.ndarray]:
+        """Fewest arrays whose greedy plan meets *bottleneck*: ``B(T)``.
+
+        Meeting a target ``T`` takes ``ceil(n_pw_s / T)`` replicas of
+        stage ``s``, so no plan meets it with fewer than ``B(T) = sum_s
+        ceil(n_pw_s / T) * step_s`` arrays.  At exactly ``B(T)`` the
+        greedy makes precisely those upgrades: every merged group above
+        ``T`` comes earlier in consideration order and the budget
+        covers them exactly.  So ``B(T)`` is the smallest count whose
+        plan meets ``T`` (the residency floor once ``T`` reaches every
+        stage's ``n_pw``).  Takes one target ``>= 1`` or an ``(L,)``
+        int vector of them.
+
+        >>> from repro.core import PIMArray
+        >>> from repro.networks import resnet18
+        >>> lat = ChipLattice.for_network(resnet18(), PIMArray.square(512))
+        >>> lat.min_arrays(200)
+        36
+        >>> lat.min_arrays(np.array([10**6, 1])).tolist() == [
+        ...     lat.floor_arrays, int((lat.n_pw * lat.step).sum())]
+        True
+        """
+        targets = np.asarray(bottleneck, dtype=np.int64)
+        needed = -(-self.n_pw // targets[..., None])
+        budgets = (needed * self.step).sum(axis=-1)
+        return int(budgets) if budgets.ndim == 0 else budgets
 
     # ------------------------------------------------------------------
     # Frontier budgets (chip_pareto support)
@@ -661,7 +583,7 @@ class ChipLattice:
         """
         values = {1}
         for positions in self.n_pw.tolist():
-            for latency, _, _ in _stage_staircase(positions):
+            for latency, _ in _stage_staircase(positions):
                 values.add(latency)
         return np.asarray(sorted(values), dtype=np.int64)
 
@@ -669,12 +591,8 @@ class ChipLattice:
                         ) -> np.ndarray:
         """The canonical budget grid behind the chip Pareto frontier.
 
-        For each candidate bottleneck target ``L`` the *minimal* budget
-        reaching it is closed-form: stage ``s`` needs ``ceil(n_pw_s/L)``
-        replicas, so ``B(L) = sum_s ceil(n_pw_s/L) * step_s``.  At
-        exactly ``B(L)`` the greedy performs precisely those upgrades
-        (every merged group above ``L`` is earlier in consideration
-        order and the budget covers them exactly), so sweeping these
+        The :meth:`min_arrays` budget ``B(L)`` of every candidate
+        bottleneck ``L`` in :meth:`frontier_latencies`.  Sweeping these
         budgets visits every non-dominated ``(arrays, cells,
         bottleneck)`` point any budget could produce — independent of
         stage order or repeat grouping.  Returned sorted ascending,
@@ -690,9 +608,7 @@ class ChipLattice:
         >>> int(lat.sweep(counts).bottleneck_cycles[-1])
         1
         """
-        levels = self.frontier_latencies()
-        needed = -(-self.n_pw[None, :] // levels[:, None])
-        budgets = np.unique((needed * self.step[None, :]).sum(axis=1))
+        budgets = np.unique(self.min_arrays(self.frontier_latencies()))
         if max_arrays is not None:
             budgets = budgets[budgets <= max_arrays]
         return budgets

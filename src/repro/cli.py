@@ -30,8 +30,7 @@ chip
     :class:`~repro.chip.sweep.ChipLattice` over a whole grid of array
     counts; ``chip pareto`` prints the cells/energy/latency deployment
     frontier (``--pools`` adds the heterogeneous best-fit plan,
-    ``--cost-params FILE`` overrides the energy model).  (Legacy
-    ``chip NETWORK ...`` is rewritten to ``chip plan NETWORK ...``.)
+    ``--cost-params FILE`` overrides the energy model).
 serve
     Run the mapping service: an asyncio HTTP/1.1 JSON front door over
     a process-pool worker tier (``/v1/map``, ``/v1/map_batch``,
@@ -46,11 +45,12 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .api import BatchRequest, MappingRequest, default_engine
+from .api import (DEFAULT_REGISTRY, BatchRequest, MappingRequest,
+                  default_engine)
 from .core import ConvLayer, PIMArray, cost_report, utilization_report
 from .networks import compare_schemes, get_network
 from .reporting import format_table
-from .search import PAPER_SCHEMES, SCHEMES, cycle_landscape
+from .search import PAPER_SCHEMES, cycle_landscape
 
 __all__ = ["main", "build_parser"]
 
@@ -62,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="VW-SDK convolutional weight mapping for PIM arrays "
                     "(DATE 2022 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
+    schemes = sorted(DEFAULT_REGISTRY.names())
 
     p_map = sub.add_parser("map", help="map one conv layer")
     p_map.add_argument("--ifm", type=int, required=True,
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--array", default="512x512",
                        help="array as ROWSxCOLS (default 512x512)")
     p_map.add_argument("--scheme", default="vw-sdk",
-                       choices=sorted(SCHEMES), help="mapping scheme")
+                       choices=schemes, help="mapping scheme")
     p_map.add_argument("--json", action="store_true",
                        help="print the MappingResponse envelope as JSON")
     p_map.add_argument("--store", metavar="FILE", default=None,
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="cells-vs-cycles array frontier for a network")
     p_front.add_argument("name", help="zoo network, e.g. resnet18")
     p_front.add_argument("--scheme", default="vw-sdk",
-                         choices=sorted(SCHEMES))
+                         choices=schemes)
     p_front.add_argument("--max-cells", type=int, default=512 * 512,
                          help="total-cells budget per candidate array "
                               "(default 512*512)")
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--arrays", type=int, default=64,
                         help="number of crossbars on the chip")
     p_plan.add_argument("--scheme", default="vw-sdk",
-                        choices=sorted(SCHEMES))
+                        choices=schemes)
     p_sweep = chip_sub.add_parser(
         "sweep", help="greedy outcomes over a grid of array counts")
     p_sweep.add_argument("name", help="zoo network, e.g. resnet18")
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "list (default: residency floor to 8x "
                               "floor in 32 steps)")
     p_sweep.add_argument("--scheme", default="vw-sdk",
-                         choices=sorted(SCHEMES))
+                         choices=schemes)
     p_sweep.add_argument("--backend", default="auto",
                          choices=("auto", "numpy", "numba"),
                          help="lattice compute backend (auto = numba "
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pareto", help="cells/energy/latency chip deployment frontier")
     p_pareto.add_argument("name", help="zoo network, e.g. resnet18")
     p_pareto.add_argument("--scheme", default="vw-sdk",
-                          choices=sorted(SCHEMES))
+                          choices=schemes)
     p_pareto.add_argument("--pools", action="store_true",
                           help="also consider the heterogeneous "
                                "best-fit pool plan (mixed geometries)")
@@ -535,19 +536,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
 }
 
-#: ``chip`` grew subcommands; bare ``chip NETWORK ...`` still works.
-_CHIP_SUBCOMMANDS = ("plan", "sweep", "pareto")
-
-
-def _normalize_argv(argv: List[str]) -> List[str]:
-    """Rewrite legacy ``chip NETWORK ...`` to ``chip plan NETWORK ...``."""
-    if argv and argv[0] == "chip" and len(argv) > 1 \
-            and argv[1] not in _CHIP_SUBCOMMANDS \
-            and argv[1] not in ("-h", "--help"):
-        return [argv[0], "plan"] + argv[1:]
-    return argv
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit status.
 
@@ -561,7 +549,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     lint rule enforces the same discipline tree-wide).
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(_normalize_argv(argv))
+    args = build_parser().parse_args(argv)
     from .core.types import ReproError
     from .runtime import DeadlineExceededError
     try:

@@ -3,12 +3,13 @@
 All entry points share the batched lattices exposed by the
 :class:`~repro.api.engine.MappingEngine` — array-size bisections and
 (non-square) array sweeps reuse one window-grid evaluation per layer
-geometry, and array-count bisections replay one precomputed
-:class:`~repro.chip.sweep.ChipLattice` — instead of re-solving or
-re-planning per probe.  Infeasible targets raise the typed
-:class:`InfeasibleTargetError`.  :func:`zoo_pareto` is the zoo-scale
-entry point: one shared non-square candidate grid swept across every
-model-zoo network on one engine (and one reusable workspace).
+geometry, and the fewest arrays for a bottleneck target is read in
+closed form off one precomputed :class:`~repro.chip.sweep.ChipLattice`
+— instead of re-solving or re-planning per probe.  Infeasible targets
+raise the typed :class:`InfeasibleTargetError`.  :func:`zoo_pareto` is
+the zoo-scale entry point: one shared non-square candidate grid swept
+across every model-zoo network on one engine (and one reusable
+workspace).
 """
 
 from .pareto import (

@@ -2,25 +2,24 @@
 
 The paper answers "given an array, how fast is the layer"; deployment
 asks the inverse: *how big an array* (or *how many arrays*) achieves a
-latency target.  Cycle counts are monotone non-increasing in the array
-size and the greedy's bottleneck in the array budget (property-tested),
-so bisection answers both questions exactly.
+latency target.  Both answers come from the engine's shared lattices,
+never from per-probe re-solving or re-planning:
 
-Every probe of those bisections used to re-solve (or re-plan) the whole
-network.  They now share work through the engine's batched lattices:
-
-* array-size probes read one batched
-  :class:`~repro.core.sweep.NetworkLattice` through
-  :meth:`~repro.api.engine.MappingEngine.network_cycles` — the window
-  grids are array-independent, so a probe costs two integer-divide
-  maps, not a per-layer search (schemes without a batchable form fall
-  back to the engine's memoized ``map_batch``);
-* array-count probes replay one
-  :class:`~repro.chip.sweep.ChipLattice`
-  (:meth:`~repro.api.engine.MappingEngine.chip_lattice`) — the greedy
-  allocator's merged latency staircases are budget-independent, so a
-  probe costs a binary search over precomputed prefix costs, not a
-  ``heapq`` run (bit-identical to it, property-tested).
+* the array size is bisected, exactly, because cycle counts are
+  monotone non-increasing in the array size (property-tested).  Every
+  probe reads one batched :class:`~repro.core.sweep.NetworkLattice`
+  through :meth:`~repro.api.engine.MappingEngine.network_cycles` — the
+  window grids are array-independent, so a probe costs two
+  integer-divide maps, not a per-layer search (schemes without a
+  batchable form fall back to the engine's memoized ``map_batch``);
+* the array count needs no search: meeting a bottleneck ``T`` takes
+  ``ceil(n_pw_s / T)`` replicas of each stage ``s``, so the fewest
+  arrays is the closed form ``B(T) = sum_s ceil(n_pw_s / T) * step_s``
+  read off one :class:`~repro.chip.sweep.ChipLattice`
+  (:meth:`~repro.api.engine.MappingEngine.chip_lattice`,
+  :meth:`~repro.chip.sweep.ChipLattice.min_arrays`) — the greedy
+  allocator spends exactly ``B(T)`` to meet ``T`` (property-tested
+  against the ``heapq`` greedy).
 
 Targets that cannot be met inside the search bounds raise
 :class:`InfeasibleTargetError` (a :class:`~repro.core.types.ReproError`
@@ -89,12 +88,13 @@ def smallest_square_array(network: Network, target_cycles: int,
                           ) -> PIMArray:
     """Smallest square array meeting a total-cycle target.
 
-    Bisection over the side length; exact because cycles are monotone
-    non-increasing in the array size.  All probes share the network's
-    array-independent window lattice, so the whole bisection costs one
-    grid evaluation plus a cheap finishing step per probe.  Raises
-    :class:`InfeasibleTargetError` when even the ``hi x hi`` array
-    misses the target.
+    Bisection over the side length in ``[lo, hi]``; exact because
+    cycles are monotone non-increasing in the array size.  All probes
+    share the network's array-independent window lattice, so the whole
+    bisection costs one grid evaluation plus a cheap finishing step per
+    probe.  Raises :class:`InfeasibleTargetError` when even the ``hi x
+    hi`` array misses the target, and ``ConfigurationError`` unless
+    ``1 <= lo <= hi``.
 
     >>> from repro.networks import resnet18
     >>> arr = smallest_square_array(resnet18(), 4294)
@@ -108,6 +108,9 @@ cycles even on a 512x512 array; target 1 is out of reach below hi=512
     """
     if target_cycles < 1:
         raise ConfigurationError("target_cycles must be >= 1")
+    if not 1 <= lo <= hi:
+        raise ConfigurationError(
+            f"side bounds need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     eng = engine if engine is not None else default_engine()
 
     def total(side: int) -> int:
@@ -137,13 +140,15 @@ def smallest_chip(network: Network, array: PIMArray,
                   ) -> ChipConfig:
     """Fewest crossbars whose pipeline bottleneck meets the target.
 
-    Bisection over the array count (the greedy allocator's bottleneck
-    is monotone non-increasing in the budget).  Every probe replays the
-    engine's shared :class:`~repro.chip.sweep.ChipLattice` — the greedy
-    outcome read off precomputed merged staircases by binary search —
-    so neither the per-layer mappings nor the ``heapq`` allocation are
-    ever recomputed per probe.  Raises :class:`InfeasibleTargetError`
-    when even ``max_arrays`` crossbars cannot reach the target.
+    Closed form, no search: the engine's shared
+    :class:`~repro.chip.sweep.ChipLattice` gives the fewest arrays
+    meeting the target as ``B(T) = sum_s ceil(n_pw_s / T) * step_s``
+    (:meth:`~repro.chip.sweep.ChipLattice.min_arrays`), and the greedy
+    allocator meets ``T`` on exactly that many.  Raises
+    :class:`InfeasibleTargetError` when ``B(T)`` exceeds
+    ``max_arrays``: its ``best`` is the bottleneck ``max_arrays``
+    crossbars reach, or ``None`` when they cannot even hold the
+    weights resident.
 
     >>> from repro.networks import resnet18
     >>> chip = smallest_chip(resnet18(), PIMArray.square(512), 200,
@@ -156,24 +161,17 @@ def smallest_chip(network: Network, array: PIMArray,
     eng = engine if engine is not None else default_engine()
     lattice = eng.chip_lattice(network, array, scheme)
 
-    top = lattice.bottleneck_at(max_arrays)
-    if top is None:
+    needed = lattice.min_arrays(target_bottleneck)
+    if needed <= max_arrays:
+        return ChipConfig(array, needed)
+    if lattice.floor_arrays > max_arrays:
         raise InfeasibleTargetError(
             f"{_network_label(network)} needs {lattice.floor_arrays} "
             f"arrays for "
             f"weight residency with {scheme} on {array}, more than "
             f"max_arrays={max_arrays}", best=None)
-    if top > target_bottleneck:
-        raise InfeasibleTargetError(
-            f"{_network_label(network)} bottlenecks at {top} cycles even with "
-            f"{max_arrays} {array} arrays; target {target_bottleneck} "
-            f"is out of reach", best=top)
-    low, high = 1, max_arrays
-    while low < high:
-        mid = (low + high) // 2
-        value = lattice.bottleneck_at(mid)
-        if value is not None and value <= target_bottleneck:
-            high = mid
-        else:
-            low = mid + 1
-    return ChipConfig(array, low)
+    top = lattice.bottleneck_at(max_arrays)
+    raise InfeasibleTargetError(
+        f"{_network_label(network)} bottlenecks at {top} cycles even with "
+        f"{max_arrays} {array} arrays; target {target_bottleneck} "
+        f"is out of reach", best=top)

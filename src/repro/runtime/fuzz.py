@@ -423,7 +423,6 @@ def _chip_sweep_surface(rng: random.Random,
                      floor * 2} | ({floor - 1} if floor > 1 else set()))
     sweep = lattice.sweep(counts)
     for index, count in enumerate(counts):
-        point = lattice.outcome(count)
         probe = sweep.outcome(index)
         try:
             plan = plan_pipeline(network, ChipConfig(array, count),
@@ -432,25 +431,19 @@ def _chip_sweep_surface(rng: random.Random,
                       plan.arrays_used)
         except InsufficientArraysError:
             greedy = None
-        fast = (None if point is None else
-                (point.bottleneck_cycles, point.fill_latency_cycles,
-                 point.arrays_used))
         batched = (None if probe is None else
                    (probe.bottleneck_cycles, probe.fill_latency_cycles,
                     probe.arrays_used))
-        if fast != greedy:
-            return (f"lattice.outcome({count}) {fast} != greedy "
-                    f"{greedy} for [{case}]")
         if batched != greedy:
             return (f"lattice.sweep probe at {count} {batched} != "
                     f"greedy {greedy} for [{case}]")
-        if params is not None and point is not None:
+        if params is not None and probe is not None:
             oracle = _cost_oracle(solutions, params,
-                                  point.bottleneck_cycles)
-            got = (point.cells_used, point.energy_nj, point.latency_us)
+                                  probe.bottleneck_cycles)
+            got = (probe.cells_used, probe.energy_nj, probe.latency_us)
             want = (_cells_oracle(plan), oracle[0], oracle[1])
             if got != want:
-                return (f"costed outcome({count}) {got} != scalar "
+                return (f"costed sweep probe at {count} {got} != scalar "
                         f"cost_report oracle {want} for [{case}]")
     return None
 

@@ -14,15 +14,13 @@ network-level analysis use.  Dispatch goes through the shared
 :class:`repro.api.MappingEngine`, so repeated ``(layer geometry, array,
 scheme)`` problems are answered from its memo instead of re-running the
 search; the solvers register themselves in
-:data:`repro.api.DEFAULT_REGISTRY` and ``SCHEMES`` is now a deprecated
-read-only view of that registry.
+:data:`repro.api.DEFAULT_REGISTRY`, which lists the scheme names.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from ..api.registry import DEFAULT_REGISTRY, SchemesView
 from ..core.array import PIMArray
 from ..core.layer import ConvLayer
 from .ablation import vwsdk_full_channels_only, vwsdk_square_only
@@ -53,14 +51,8 @@ __all__ = [
     "CandidateSpace",
     "lattice_solution",
     "SEARCH_ORDERS",
-    "SCHEMES",
     "solve",
 ]
-
-#: Deprecated: live read-only view of :data:`repro.api.DEFAULT_REGISTRY`.
-#: Kept so legacy ``SCHEMES[name]`` / ``sorted(SCHEMES)`` call sites work;
-#: register new schemes with :func:`repro.api.register_scheme` instead.
-SCHEMES: SchemesView = SchemesView(DEFAULT_REGISTRY)
 
 #: The three schemes the paper's evaluation compares (Figs. 8-9).
 PAPER_SCHEMES: Tuple[str, ...] = ("im2col", "sdk", "vw-sdk")

@@ -285,13 +285,12 @@ class MappingServer:
                 "message": "request head too large"}})
             return False
         try:
-            method, path, headers = self._parse_head(head)
+            method, path, headers, length = self._parse_head(head)
         except ValueError as exc:
             await self._send(writer, 400, {"error": {
                 "type": "ProtocolError", "status": 400,
                 "message": str(exc)}})
             return False
-        length = int(headers.get("content-length", "0") or "0")
         if length > MAX_BODY_BYTES:
             await self._send(writer, 413, {"error": {
                 "type": "ProtocolError", "status": 413,
@@ -309,7 +308,11 @@ class MappingServer:
         return keep_alive
 
     @staticmethod
-    def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:
+    def _parse_head(head: bytes
+                    ) -> Tuple[str, str, Dict[str, str], int]:
+        """``(method, path, headers, content length)``; raises
+        ``ValueError`` on anything malformed, ``Content-Length`` included
+        (it must be plain decimal digits)."""
         try:
             text = head.decode("latin-1")
         except UnicodeDecodeError:  # pragma: no cover - latin-1 total
@@ -327,7 +330,10 @@ class MappingServer:
             if not sep:
                 raise ValueError(f"malformed header line: {line!r}")
             headers[name.strip().lower()] = value.strip().lower()
-        return method, path, headers
+        length = headers.get("content-length", "0") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(f"malformed Content-Length: {length!r}")
+        return method, path, headers, int(length)
 
     async def _route(self, method: str, path: str, raw_body: bytes
                      ) -> Tuple[int, Optional[Dict[str, Any]],

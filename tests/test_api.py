@@ -18,7 +18,7 @@ from repro.api import (
 )
 from repro.core import ConvLayer, PIMArray
 from repro.networks import resnet18, vgg16
-from repro.search import SCHEMES, im2col_solution, solve
+from repro.search import im2col_solution, solve
 
 ARRAY = PIMArray.square(512)
 RESNET_L4 = ConvLayer.square(14, 3, 256, 256)
@@ -84,26 +84,6 @@ class TestRegistry:
     def test_rejects_non_callable(self):
         with pytest.raises(ValueError, match="callable"):
             SolverRegistry().register("bad", 42)
-
-
-class TestDeprecatedSchemesView:
-    def test_getitem_and_iteration(self):
-        assert SCHEMES["vw-sdk"] is DEFAULT_REGISTRY.solver("vw-sdk")
-        assert sorted(SCHEMES) == ["im2col", "sdk", "smd", "vw-sdk"]
-        assert len(SCHEMES) == len(DEFAULT_REGISTRY)
-
-    def test_missing_key_raises_keyerror(self):
-        with pytest.raises(KeyError):
-            SCHEMES["magic"]
-
-    def test_view_is_live(self):
-        DEFAULT_REGISTRY.register("temp-scheme", im2col_solution)
-        try:
-            assert "temp-scheme" in SCHEMES
-            assert SCHEMES["temp-scheme"] is im2col_solution
-        finally:
-            DEFAULT_REGISTRY.unregister("temp-scheme")
-        assert "temp-scheme" not in SCHEMES
 
     def test_replaced_solver_invalidates_engine_memo(self):
         # Re-registering a scheme's solver must not serve solutions the

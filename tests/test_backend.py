@@ -281,15 +281,28 @@ def test_engine_surfaces_backend_and_workspace_counters():
     assert "backend" not in CacheSnapshot(hits=1).to_dict()
 
 
-def test_backend_name_keys_the_sweep_memo():
+def test_backend_name_keys_the_sweep_memo(monkeypatch):
+    # A lattice involves no backend arithmetic, so the backend name
+    # stays out of the sweep memo key: a per-request override shares
+    # the one lattice and only its cycles_for evaluation switches
+    # backend.
     engine = MappingEngine(backend="numpy")
     net = [ConvLayer.square(14, 3, 16, 16)]
+    probes = [PIMArray.square(side) for side in (64, 128)]
     shared = engine.network_sweep(net)
-    assert engine.network_sweep(net) is shared   # same backend: memo hit
-    other = engine.network_sweep(net, "vw-sdk", KernelBackend())
-    assert other is not shared                   # distinct backend entry
-    array = PIMArray.square(128)
-    assert other.network_cycles(array) == shared.network_cycles(array)
+    assert engine.network_sweep(net) is shared   # memo hit
+    swept = []
+    cycles_for = NetworkLattice.cycles_for
+
+    def spy(lattice, *args, **kwargs):
+        swept.append((lattice is shared, kwargs["backend"].name))
+        return cycles_for(lattice, *args, **kwargs)
+
+    monkeypatch.setattr(NetworkLattice, "cycles_for", spy)
+    base = engine.sweep_cycles(net, probes)
+    override = engine.sweep_cycles(net, probes, backend=KernelBackend())
+    assert swept == [(True, "numpy"), (True, "kernel-interp")]
+    assert np.array_equal(override, base)
 
 
 @pytest.mark.skipif(not HAVE_NUMBA, reason="needs numba")

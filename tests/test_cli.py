@@ -78,14 +78,8 @@ class TestChipCommand:
         assert "bottleneck" in out
         assert "arrays used" in out
 
-    def test_legacy_spelling_still_plans(self, capsys):
-        # Pre-subcommand CLI: `chip NETWORK ...` implies `chip plan`.
-        assert main(["chip", "resnet18", "--arrays", "64"]) == 0
-        out = capsys.readouterr().out
-        assert "bottleneck" in out
-
     def test_scheme_flag(self, capsys):
-        assert main(["chip", "resnet18", "--arrays", "64",
+        assert main(["chip", "plan", "resnet18", "--arrays", "64",
                      "--scheme", "im2col"]) == 0
         out = capsys.readouterr().out
         assert "im2col" in out

@@ -44,6 +44,11 @@ class TestSmallestArray:
     def test_validation(self):
         with pytest.raises(Exception):
             smallest_square_array(resnet18(), 0)
+        # An inverted range must not answer above hi, and lo=0 must
+        # name the bound rather than fail inside PIMArray.
+        for lo, hi in ((2048, 1024), (0, 1024)):
+            with pytest.raises(ConfigurationError, match="lo <= hi"):
+                smallest_square_array(resnet18(), 10**9, lo=lo, hi=hi)
 
     def test_plain_layer_list_infeasible_raises_typed_error(self):
         # The engine layer deliberately accepts plain layer iterables

@@ -1,28 +1,31 @@
 """Monotonicity and equivalence invariants the DSE layer relies on.
 
-``smallest_square_array`` bisects over the array side and
-``smallest_chip`` over the array count; both are exact only because
-cycles are monotone non-increasing in rows, columns and array budget.
-The requirements docstrings claim it — these properties pin it, over
+``smallest_square_array`` bisects over the array side, exact only
+because cycles are monotone non-increasing in rows and columns; the
+greedy's bottleneck is monotone in the array budget too.  The
+requirements docstrings claim it — these properties pin it, over
 randomized layers *including strided and padded ones*.
 
 ``ChipLattice`` replays the pipeline greedy from precomputed merged
 staircases; the equivalence properties here pin it **bit-identical**
 to the per-probe ``heapq`` greedy — bottleneck, fill latency and
 arrays used — over random networks (repeats included), schemes, array
-shapes and probe grids, through both the vectorized ``sweep`` path and
-the scalar merged-binary-search ``outcome`` path.
+shapes and probe grids, through its one replay, ``sweep`` (which
+``outcome`` wraps).  ``smallest_chip`` sizes a chip in closed form;
+its property bisects the ``heapq`` greedy itself (licensed by the
+monotonicity above) and must land on the same count.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chip import ChipConfig, ChipLattice, plan_pipeline
 from repro.chip.pipeline import InsufficientArraysError
 from repro.core import ConvLayer, PIMArray
-from repro.dse import network_cycles
+from repro.dse import InfeasibleTargetError, network_cycles, smallest_chip
 from repro.networks import Network
 from repro.search import solve
 
@@ -147,3 +150,34 @@ def test_chip_lattice_bottleneck_monotone_in_count(network, array, count,
     bigger = lattice.bottleneck_at(count + extra)
     if base is not None:
         assert bigger is not None and bigger <= base
+
+
+# ----------------------------------------------------------------------
+# Closed-form chip sizing vs a bisection of the heapq greedy
+# ----------------------------------------------------------------------
+
+@given(repeated_networks, arrays, st.integers(min_value=1, max_value=64),
+       st.integers(min_value=1, max_value=4096))
+@settings(max_examples=60, deadline=None)
+def test_smallest_chip_matches_greedy_bisection(network, array, target,
+                                                max_arrays):
+    def bottleneck(count):
+        outcome = _greedy_outcome(network, array, count, "vw-sdk")
+        return None if outcome is None else outcome[0]
+
+    top = bottleneck(max_arrays)
+    if top is None or top > target:
+        with pytest.raises(InfeasibleTargetError) as info:
+            smallest_chip(network, array, target, max_arrays=max_arrays)
+        assert info.value.best == top
+        return
+    low, high = 1, max_arrays
+    while low < high:
+        mid = (low + high) // 2
+        value = bottleneck(mid)
+        if value is not None and value <= target:
+            high = mid
+        else:
+            low = mid + 1
+    chip = smallest_chip(network, array, target, max_arrays=max_arrays)
+    assert chip == ChipConfig(array, low)

@@ -17,6 +17,7 @@ import os
 import re
 import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -163,6 +164,25 @@ class TestErrorStatuses:
         status, body = call(server, "POST", "/v1/map", raw="{nope")
         assert status == 400
         assert body["error"]["type"] == "ProtocolError"
+
+    @pytest.mark.parametrize("length", ["abc", "12abc", "-5"])
+    def test_malformed_content_length_400(self, server, length):
+        # Raw socket: http.client would never send a bad Content-Length.
+        head = (f"POST /v1/map HTTP/1.1\r\nHost: localhost\r\n"
+                f"Content-Length: {length}\r\n\r\n")
+        with socket.create_connection(server.address, timeout=120) as sock:
+            sock.sendall(head.encode("latin-1"))
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break  # the server closes after a head error
+                reply += chunk
+        status_line, _, body = reply.partition(b"\r\n\r\n")
+        assert status_line.startswith(b"HTTP/1.1 400 ")
+        error = json.loads(body)["error"]
+        assert error["type"] == "ProtocolError"
+        assert "Content-Length" in error["message"]
 
     def test_missing_fields_400(self, server):
         status, body = call(server, "POST", "/v1/map", {"request": {}})
