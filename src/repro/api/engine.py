@@ -1,9 +1,14 @@
 """The mapping engine: one front door for all mapping work.
 
 :class:`MappingEngine` resolves :class:`~repro.api.request.MappingRequest`
-objects through a scheme registry, memoizes solutions in a bounded LRU
-cache keyed by the request's canonical hash, and executes batches on a
-thread pool.  Every entry point of the library — ``repro.search.solve``,
+objects through a scheme registry, memoizes solutions in a bounded
+:class:`~repro.core.cache.LRUMemo` keyed by the scheme's registry
+version and the request's canonical hash, and executes batches on a
+thread pool.  :meth:`~MappingEngine.map` and
+:meth:`~MappingEngine.map_batch` share one lookup order: one memo
+``get`` per distinct key, and on a miss one path that tries the
+persistent store, then a coalesced solve.  Every entry point of the
+library — ``repro.search.solve``,
 ``repro.networks.map_network`` / ``compare_schemes``,
 ``repro.chip.plan_pipeline``, the experiment drivers and the CLI — routes
 through one shared engine (:func:`default_engine`), so a full-network
@@ -42,9 +47,9 @@ frontiers never re-run the per-probe ``heapq`` allocator, and
 The engine can carry the fault-tolerant runtime substrate
 (:mod:`repro.runtime`, ``docs/robustness.md``): a crash-safe
 persistent :class:`~repro.runtime.store.SolutionStore` mounted as an
-L2 cache below the LRU memo (keyed by registry version + canonical
-request hash, so a fleet of processes shares one warm cache across
-restarts), in-flight coalescing so identical canonical hashes share
+L2 cache below the LRU memo (under the memo's own key, so a fleet of
+processes shares one warm cache across restarts), in-flight
+coalescing so identical canonical hashes share
 one solve across threads, deadline-aware
 :class:`~repro.runtime.retry.RetryPolicy` around store I/O, a
 :class:`~repro.runtime.breaker.BreakerBackend` circuit breaker
@@ -59,7 +64,6 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from collections import OrderedDict
 from dataclasses import replace
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional,
                     Sequence, Tuple, Union)
@@ -92,68 +96,6 @@ __all__ = ["MappingEngine", "default_engine", "set_default_engine"]
 
 #: map_batch accepts a BatchRequest or any iterable of requests.
 Requests = Union[BatchRequest, Iterable[MappingRequest]]
-
-
-class _LRUCache:
-    """A small thread-safe LRU map: cache_key -> MappingSolution.
-
-    ``maxsize <= 0`` disables caching entirely (every get misses); a
-    positive maxsize evicts least-recently-used entries on overflow.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._data: "OrderedDict[str, MappingSolution]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: str) -> Optional[MappingSolution]:
-        with self._lock:
-            solution = self._data.get(key)
-            if solution is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return solution
-
-    def put(self, key: str, solution: MappingSolution) -> None:
-        if self.maxsize <= 0:
-            return
-        with self._lock:
-            self._data[key] = solution
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    def count_hit(self) -> None:
-        with self._lock:
-            self.hits += 1
-
-    def count_miss(self) -> None:
-        with self._lock:
-            self.misses += 1
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def snapshot(self) -> CacheSnapshot:
-        with self._lock:
-            return CacheSnapshot(hits=self.hits, misses=self.misses,
-                                 evictions=self.evictions,
-                                 size=len(self._data))
 
 
 class _WorkspaceLease:
@@ -211,9 +153,9 @@ class MappingEngine:
         consult the store before solving; fresh solves append to it
         (best-effort: write failures are retried, then counted in
         ``stats`` and absorbed — persistence never changes results).
-        Store keys are ``"{registry version}:{canonical hash}"`` —
-        backend-free on purpose, since backends are bit-identical by
-        contract and the store outlives any one process's choice.
+        Store and memo share the key ``"{registry version}:{canonical
+        hash}"``; it names no backend, since backends are bit-identical
+        by contract and the store outlives any one process's choice.
     retry:
         :class:`~repro.runtime.retry.RetryPolicy` for store I/O
         (defaults to a small seeded exponential-backoff policy).
@@ -264,7 +206,7 @@ class MappingEngine:
         self._coalesced = 0
         self._runtime_lock = threading.Lock()
         self._inflight: Dict[str, "_Flight"] = {}
-        self._cache = _LRUCache(cache_size)
+        self._cache: LRUMemo[MappingSolution] = LRUMemo(cache_size)
         self._sweeps: LRUMemo = LRUMemo(maxsize=self.SWEEP_CACHE_SIZE)
         # One sweep workspace per thread (Workspace is not thread-safe).
         # The registry holds *weak* references only — the sole strong
@@ -357,20 +299,20 @@ class MappingEngine:
         return self.map(MappingRequest(layer=layer, array=array,
                                        scheme=scheme)).solution
 
-    def _memo_key(self, request: MappingRequest) -> str:
-        """The engine's internal cache key for *request*.
+    def _key(self, request: MappingRequest) -> str:
+        """The memo and store key of *request*.
 
-        The request's canonical hash plus the registry's per-scheme
-        registration version, so replacing or re-registering a solver
-        (``replace=True`` / ``unregister``) never serves solutions the
-        old solver computed.  The engine's backend name is part of the
-        key as well: backends are bit-identical by contract, but the
-        memo must never be in a position to *hide* a backend bug, so
-        solutions computed under one backend are not served to an
-        engine configured with another.
+        The scheme's registry version, then the request's canonical
+        hash, so replacing or re-registering a solver (``replace=True``
+        / ``unregister``) never serves solutions the old solver
+        computed.  No backend name enters it: solvers run on the
+        process's ``"auto"`` backend whatever the engine's, backends
+        are bit-identical by contract (re-proven by the breaker
+        property suite), and the store outlives any one process's
+        backend choice.
         """
         version = self.registry.version(request.scheme)
-        return f"{self._backend.name}:{version}:{request.cache_key}"
+        return f"{version}:{request.cache_key}"
 
     def _timed_solve(self, request: MappingRequest,
                      key: str) -> Tuple[MappingSolution, float]:
@@ -381,32 +323,22 @@ class MappingEngine:
         solution = solver(request.layer, request.array)
         solve_ms = (time.perf_counter() - start) * 1000.0
         self._cache.put(key, solution)
-        self._store_put(request, solution)
+        self._store_put(key, solution)
         return solution, solve_ms
 
     # -- persistent store (L2) + in-flight coalescing ------------------
-
-    def _store_key(self, request: MappingRequest) -> str:
-        """The L2 key: registry version + canonical request hash.
-
-        Deliberately backend-free (unlike :meth:`_memo_key`): backends
-        are bit-identical by contract — re-proven by the breaker
-        property suite — and the store outlives any one process's
-        backend choice.
-        """
-        version = self.registry.version(request.scheme)
-        return f"{version}:{request.cache_key}"
 
     def _count_store_error(self) -> None:
         with self._runtime_lock:
             self._store_errors += 1
 
-    def _store_get(self, request: MappingRequest) -> Optional[MappingSolution]:
+    def _store_get(self, request: MappingRequest,
+                   key: str) -> Optional[MappingSolution]:
         """Look *request* up in the persistent store (``None`` on miss,
         on store failure, or on an undecodable record)."""
-        if self._store is None:
+        store = self._store
+        if store is None:
             return None
-        store, key = self._store, self._store_key(request)
         try:
             payload = self._retry.call(lambda: store.get(key))
         except (TransientError, OSError):
@@ -422,13 +354,12 @@ class MappingEngine:
             self._count_store_error()
             return None
 
-    def _store_put(self, request: MappingRequest,
-                   solution: MappingSolution) -> None:
+    def _store_put(self, key: str, solution: MappingSolution) -> None:
         """Best-effort persistence: retried, then counted and absorbed
         — a dead store degrades durability, never answers."""
-        if self._store is None:
+        store = self._store
+        if store is None:
             return
-        store, key = self._store, self._store_key(request)
         payload = solution_to_dict(solution)
         try:
             self._retry.call(lambda: store.put(key, payload))
@@ -487,12 +418,35 @@ class MappingEngine:
         solution, solve_ms = flight.result
         return solution, solve_ms, True
 
+    def _resolve_miss(self, request: MappingRequest, key: str,
+                      deadline: Optional[Deadline] = None
+                      ) -> MappingResponse:
+        """The memo-miss path of :meth:`map` and :meth:`map_batch`.
+
+        The persistent store first (when mounted; a store hit
+        back-fills the memo and reports ``cached=True``), then an
+        in-flight-coalesced solver run (a follower served by another
+        thread's solve reports ``cached=True`` and ``solve_ms=0``).
+        """
+        stored = self._store_get(request, key)
+        if stored is not None:
+            self._cache.put(key, stored)
+            return MappingResponse(request=request,
+                                   solution=self._rebind(stored, request),
+                                   cached=True)
+        solution, solve_ms, shared = self._solve_coalesced(request, key,
+                                                           deadline)
+        return MappingResponse(request=request,
+                               solution=self._rebind(solution, request),
+                               cached=shared,
+                               solve_ms=0.0 if shared else solve_ms)
+
     def map(self, request: MappingRequest, *,
             deadline: Optional[Deadline] = None) -> MappingResponse:
         """Resolve one request into a :class:`MappingResponse`.
 
-        Lookup order: the in-process LRU memo, then the persistent
-        store (when mounted; a store hit back-fills the memo), then an
+        Lookup order: one ``get`` on the in-process LRU memo, then, on
+        a miss, :meth:`_resolve_miss`: the persistent store, then an
         in-flight-coalesced solver run.  Both cache tiers report
         ``cached=True``.  An optional *deadline* bounds the coalescing
         wait (see :meth:`_solve_coalesced`); cache lookups and solo
@@ -509,24 +463,13 @@ class MappingEngine:
         True
         """
         self.registry.solver(request.scheme)  # fail fast
-        key = self._memo_key(request)
+        key = self._key(request)
         cached = self._cache.get(key)
         if cached is not None:
             return MappingResponse(request=request,
                                    solution=self._rebind(cached, request),
                                    cached=True)
-        stored = self._store_get(request)
-        if stored is not None:
-            self._cache.put(key, stored)
-            return MappingResponse(request=request,
-                                   solution=self._rebind(stored, request),
-                                   cached=True)
-        solution, solve_ms, shared = self._solve_coalesced(request, key,
-                                                           deadline)
-        return MappingResponse(request=request,
-                               solution=self._rebind(solution, request),
-                               cached=shared,
-                               solve_ms=0.0 if shared else solve_ms)
+        return self._resolve_miss(request, key, deadline)
 
     # ------------------------------------------------------------------
     # Batch path
@@ -535,16 +478,19 @@ class MappingEngine:
                   max_workers: Optional[int] = None) -> BatchResult:
         """Resolve a batch concurrently; results preserve request order.
 
-        Duplicate problems inside the batch are solved once: the batch
-        is deduplicated by canonical cache key before hitting the pool,
-        so the solver-invocation count equals the number of *distinct
-        uncached* problems, never the batch length.  (A ``cache_size=0``
-        engine skips deduplication too — every request runs its solver,
-        which is the honest baseline for benchmarking.)  ``stats.hits``
-        / ``stats.misses`` on the returned :class:`BatchResult` are
-        tallied per batch (exact even when the engine is shared across
-        threads); ``evictions``/``size`` describe the engine's cache
-        after the batch.
+        Each distinct key in the batch gets one memo ``get``; every key
+        that missed goes through :meth:`_resolve_miss`, as in
+        :meth:`map`, on a thread pool.  Duplicates inside the batch are
+        therefore solved once and reuse their first occurrence's
+        answer, so the solver-invocation count equals the number of
+        *distinct uncached* problems, never the batch length.  (A
+        ``cache_size=0`` engine skips deduplication — every request
+        runs its solver, which is the honest baseline for
+        benchmarking.)  ``stats.hits`` / ``stats.misses`` on the
+        returned :class:`BatchResult` count the batch's responses with
+        and without ``cached`` (exact even when the engine is shared
+        across threads); ``evictions``/``size`` describe the engine's
+        cache after the batch.
 
         >>> engine = MappingEngine()
         >>> layer = ConvLayer.square(14, 3, 256, 256)
@@ -562,103 +508,59 @@ class MappingEngine:
         for scheme in {request.scheme for request in batch}:
             self.registry.solver(scheme)
 
-        # First occurrence of each uncached key gets solved; everything
-        # else is a hit (either pre-existing or intra-batch duplicate).
-        # With caching disabled every request gets its own key.
-        dedup = self._cache.maxsize > 0
-        keys = [self._memo_key(request) if dedup
-                else f"#{i}:{self._memo_key(request)}"
-                for i, request in enumerate(batch)]
-        to_solve: "OrderedDict[str, MappingRequest]" = OrderedDict()
-        for key, request in zip(keys, batch):
-            if key not in self._cache and key not in to_solve:
-                to_solve[key] = request
-        solved = self._solve_many(tuple(to_solve.items()), max_workers)
+        # One slot per distinct key; with caching disabled, one per
+        # request.  Each slot is looked up once, here, and keeps what
+        # it found, so later puts in this batch cannot evict it.
+        keys = [self._key(request) for request in batch]
+        slots: Sequence[object] = (keys if self._cache.maxsize > 0
+                                   else range(len(batch)))
+        solutions: Dict[object, MappingSolution] = {}
+        misses: Dict[object, Tuple[str, MappingRequest]] = {}
+        for slot, key, request in zip(slots, keys, batch):
+            if slot in solutions or slot in misses:
+                continue
+            solution = self._cache.get(key)
+            if solution is None:
+                misses[slot] = (key, request)
+            else:
+                solutions[slot] = solution
+        resolved = self._resolve_many(misses, max_workers)
 
         responses: List[MappingResponse] = []
-        batch_hits = batch_misses = 0
-        first_use = set()
-        for key, request in zip(keys, batch):
-            if key in solved and key not in first_use:
-                first_use.add(key)
-                solution, solve_ms, from_store = solved[key]
-                if from_store:
-                    # Persistent-store hit: cached=True, like map().
-                    self._cache.count_hit()
-                    batch_hits += 1
-                    responses.append(MappingResponse(
-                        request=request,
-                        solution=self._rebind(solution, request),
-                        cached=True))
-                    continue
-                self._cache.count_miss()
-                batch_misses += 1
-                responses.append(MappingResponse(
-                    request=request,
-                    solution=self._rebind(solution, request),
-                    cached=False, solve_ms=solve_ms))
+        for slot, request in zip(slots, batch):
+            first = resolved.pop(slot, None)
+            if first is not None:
+                responses.append(first)
+                solutions[slot] = first.solution
             else:
-                if key in solved:
-                    solution = solved[key][0]
-                    self._cache.count_hit()
-                else:
-                    solution = self._cache.get(key)
-                if solution is None:
-                    # A pre-cached entry was evicted while this batch's
-                    # own puts (or another thread) filled the cache;
-                    # re-solve rather than dereference None.  The get()
-                    # above already counted the miss.
-                    solution, solve_ms = self._timed_solve(request, key)
-                    batch_misses += 1
-                    responses.append(MappingResponse(
-                        request=request,
-                        solution=self._rebind(solution, request),
-                        cached=False, solve_ms=solve_ms))
-                    continue
-                batch_hits += 1
                 responses.append(MappingResponse(
                     request=request,
-                    solution=self._rebind(solution, request),
+                    solution=self._rebind(solutions[slot], request),
                     cached=True))
+        hits = sum(response.cached for response in responses)
         after = self._cache.snapshot()
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        stats = CacheSnapshot(hits=batch_hits, misses=batch_misses,
-                              evictions=after.evictions, size=after.size)
+        stats = CacheSnapshot(hits=hits, misses=len(responses) - hits,
+                              evictions=after["evictions"],
+                              size=after["size"])
         return BatchResult(responses=tuple(responses), stats=stats,
                            elapsed_ms=elapsed_ms)
 
-    def _solve_one(self, request: MappingRequest,
-                   key: str) -> Tuple[MappingSolution, float, bool]:
-        """One batch item's LRU-miss path: store lookup, then a
-        coalesced solve.  The third element flags a store hit, so the
-        batch assembler can report it ``cached=True`` like :meth:`map`
-        does (both cache tiers count as cached)."""
-        stored = self._store_get(request)
-        if stored is not None:
-            self._cache.put(key, stored)
-            return stored, 0.0, True
-        solution, solve_ms, _ = self._solve_coalesced(request, key)
-        return solution, solve_ms, False
-
-    def _solve_many(self, items: Sequence[Tuple[str, MappingRequest]],
-                    max_workers: Optional[int]
-                    ) -> Dict[str, Tuple[MappingSolution, float, bool]]:
-        """Solve distinct problems, concurrently when it pays off."""
+    def _resolve_many(self,
+                      misses: Dict[object, Tuple[str, MappingRequest]],
+                      max_workers: Optional[int]
+                      ) -> Dict[object, MappingResponse]:
+        """:meth:`_resolve_miss` per slot's ``(key, request)``,
+        concurrently when it pays off."""
         workers = max_workers if max_workers is not None else self.max_workers
-        solved: Dict[str, Tuple[MappingSolution, float, bool]] = {}
-        if not items:
-            return solved
-        if workers == 1 or len(items) == 1:
-            for key, request in items:
-                solved[key] = self._solve_one(request, key)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {key: pool.submit(self._solve_one, request, key)
-                           for key, request in items}
-                for key, future in futures.items():
-                    solved[key] = future.result()
-        return solved
+        if workers == 1 or len(misses) <= 1:
+            return {slot: self._resolve_miss(request, key)
+                    for slot, (key, request) in misses.items()}
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = {slot: pool.submit(self._resolve_miss, request, key)
+                       for slot, (key, request) in misses.items()}
+            return {slot: future.result() for slot, future in futures.items()}
 
     @staticmethod
     def _rebind(solution: MappingSolution,
@@ -963,16 +865,19 @@ class MappingEngine:
 
     @property
     def stats(self) -> CacheSnapshot:
-        """Lifetime cache statistics of this engine, annotated with the
-        resolved backend name, the aggregated workspace counters, and
-        — when the runtime substrate is mounted — breaker and
-        persistent-store counters."""
+        """Lifetime cache statistics of this engine: the solution
+        memo's :meth:`~repro.core.cache.LRUMemo.snapshot` (one hit or
+        miss per L1 lookup), annotated with the resolved backend name,
+        the aggregated workspace counters, and — when the runtime
+        substrate is mounted — breaker and persistent-store counters."""
         reuses, grows, peak = self.workspace_counters()
-        snap = replace(self._cache.snapshot(),
-                       backend=self._backend.name,
-                       workspace_reuses=reuses, workspace_grows=grows,
-                       workspace_peak_bytes=peak,
-                       coalesced=self._coalesced)
+        memo = self._cache.snapshot()
+        snap = CacheSnapshot(hits=memo["hits"], misses=memo["misses"],
+                             evictions=memo["evictions"], size=memo["size"],
+                             backend=self._backend.name,
+                             workspace_reuses=reuses, workspace_grows=grows,
+                             workspace_peak_bytes=peak,
+                             coalesced=self._coalesced)
         if self._breaker is not None:
             brk = self._breaker.snapshot()
             snap = replace(snap, breaker_state=str(brk["state"]),

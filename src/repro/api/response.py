@@ -62,8 +62,14 @@ def solution_from_dict(data: Dict[str, object],
 class CacheSnapshot:
     """Engine cache statistics at one point in time.
 
-    ``solver_calls`` counts actual solver executions (== misses);
-    ``hits`` counts requests answered from the memoized solutions.
+    On an engine snapshot ``hits`` and ``misses`` count lookups in the
+    in-process solution memo (L1): one per :meth:`MappingEngine.map
+    <repro.api.engine.MappingEngine.map>` call and one per distinct key
+    of a :meth:`~repro.api.engine.MappingEngine.map_batch`.
+    ``solver_calls`` is the L1 misses; a miss the persistent store or
+    another thread's in-flight solve answers runs no solver of its own.
+    A batch snapshot (:attr:`BatchResult.stats`) instead counts the
+    batch's responses with and without ``cached``.
 
     Engine-level snapshots (:attr:`MappingEngine.stats
     <repro.api.engine.MappingEngine.stats>`) additionally carry the
@@ -105,7 +111,7 @@ class CacheSnapshot:
 
     @property
     def solver_calls(self) -> int:
-        """Solver invocations performed (each miss runs the solver once)."""
+        """The L1 misses: at most one solver run each."""
         return self.misses
 
     @property
@@ -185,8 +191,8 @@ class MappingResponse:
         hit from an identically-shaped layer still reports *this*
         request's layer name/repeats).
     cached:
-        Whether the solution came from the engine's memo rather than a
-        solver run.
+        Whether the solution came from the engine's memo, its store or
+        another request's solve rather than a solver run of its own.
     solve_ms:
         Solver wall-clock milliseconds (0.0 on cache hits).
     """

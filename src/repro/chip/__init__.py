@@ -2,13 +2,6 @@
 
 from .allocation import LayerAllocation, allocate_layer, residency_arrays
 from .config import ChipConfig
-from .packing import (
-    PackingResult,
-    Placement,
-    TileRequest,
-    pack_network,
-    pack_tiles,
-)
 from .pipeline import InsufficientArraysError, PipelinePlan, plan_pipeline
 from .pools import PoolPlan, best_fit_arrays, pool_plans
 from .sweep import ChipLattice, ChipOutcome, ChipSweep, chip_lattice
@@ -28,9 +21,4 @@ __all__ = [
     "PipelinePlan",
     "plan_pipeline",
     "InsufficientArraysError",
-    "TileRequest",
-    "Placement",
-    "PackingResult",
-    "pack_tiles",
-    "pack_network",
 ]

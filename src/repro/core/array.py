@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Tuple
 
-from .types import require_positive_int
+from .types import ConfigurationError, require_positive_int
 
 __all__ = ["PIMArray", "PAPER_ARRAY_SIZES"]
 
@@ -52,7 +52,8 @@ class PIMArray:
         """Parse an array spec string such as ``"512x256"``.
 
         Accepts ``x``, ``X`` or ``*`` as the separator; a single number
-        means a square array.
+        means a square array.  Anything else raises
+        :class:`~repro.core.types.ConfigurationError` naming *spec*.
 
         >>> PIMArray.parse("128x256")
         PIMArray(rows=128, cols=256)
@@ -60,10 +61,15 @@ class PIMArray:
         PIMArray(rows=512, cols=512)
         """
         text = spec.strip().lower().replace("*", "x")
-        if "x" in text:
-            row_text, _, col_text = text.partition("x")
-            return cls(rows=int(row_text), cols=int(col_text))
-        return cls.square(int(text))
+        row_text, sep, col_text = text.partition("x")
+        try:
+            rows = int(row_text)
+            cols = int(col_text) if sep else rows
+        except ValueError:
+            raise ConfigurationError(
+                f"array spec must look like '512x256' or '512', "
+                f"got {spec!r}") from None
+        return cls(rows=rows, cols=cols)
 
     @property
     def cells(self) -> int:

@@ -59,7 +59,7 @@ from ..core.backend import Backend
 from ..core.cost import DEFAULT_COST_PARAMS, CostParams
 from ..core.layer import ConvLayer
 from ..core.skyline import skyline
-from ..core.types import ConfigurationError
+from ..core.types import ConfigurationError, require_positive_int
 from ..core.utilization import utilization_report
 from ..networks.layerset import Network
 from ..search import CandidateSpace, enumerate_feasible
@@ -132,7 +132,8 @@ def array_candidates(max_cells: int, *,
     squares.  ``square_only=True`` restricts to the diagonal (the
     pre-non-square behaviour, kept for A/B comparisons).  Candidates
     come back sorted by ``(cells, rows)`` so equal-cost shapes stay
-    adjacent in reports.
+    adjacent in reports.  Every side must be a positive integer, or
+    :class:`~repro.core.types.ConfigurationError` is raised.
 
     >>> [str(a) for a in array_candidates(128 * 128, sides=(64, 128, 256))]
     ['64x64', '64x128', '128x64', '64x256', '128x128', '256x64']
@@ -142,7 +143,8 @@ def array_candidates(max_cells: int, *,
     """
     if max_cells < 1:
         raise ValueError(f"max_cells must be >= 1, got {max_cells}")
-    ladder = tuple(sides) if sides is not None else DEFAULT_SIDES
+    ladder = (tuple(require_positive_int("sides", s) for s in sides)
+              if sides is not None else DEFAULT_SIDES)
     if square_only:
         chosen = [PIMArray.square(s) for s in ladder if s * s <= max_cells]
     else:

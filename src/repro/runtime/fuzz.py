@@ -11,7 +11,10 @@ registered surfaces.
 Built-in surfaces:
 
 * ``map`` — cold vs cached vs store-recovered canonical solution JSON
-  (the PR 8 differential, store file damaged at a random offset);
+  (the PR 8 differential, store file damaged at a random offset), plus
+  ``map_batch`` over every answered request twice, shuffled, on fresh,
+  evicting (``cache_size=2``, serial and threaded) and store-backed
+  engines;
 * ``network_sweep`` — vectorized ``sweep_cycles`` over a random array
   ladder vs per-layer cold scalar solves, typed errors canonicalised
   per array;
@@ -268,8 +271,53 @@ def _damage(path: Path, rng: random.Random) -> str:
     return f"bit-flipped byte {offset}/{len(raw)}"
 
 
+def _batch_mismatch(rng: random.Random, requests: Sequence[MappingRequest],
+                    cold: str, store: SolutionStore) -> Optional[str]:
+    """Diff ``map_batch`` against cold ``map`` (*cold* is its
+    :func:`_canonical` form).
+
+    Every request cold ``map`` answers goes in twice, in shuffled
+    order, through a default engine; through two ``cache_size=2``
+    engines warmed with one of them, which forces mid-batch evictions,
+    run serially and on four threads; and through an engine on
+    *store*, which already holds every answer.  Each response must
+    carry its cold solution, and on the default engine ``cached`` must
+    be False exactly on the first occurrence of each key.
+    """
+    answered = [(request, outcome) for request, outcome
+                in zip(requests, json.loads(cold)) if "error" not in outcome]
+    if not answered:
+        return None
+    pairs = answered * 2
+    rng.shuffle(pairs)
+    batch = [request for request, _ in pairs]
+    want = json.dumps([outcome for _, outcome in pairs], sort_keys=True,
+                      separators=(",", ":"))
+    warm = rng.choice(batch)
+    runs: List[Tuple[str, MappingEngine, Optional[int]]] = [
+        ("default", MappingEngine(), None),
+        ("store-backed", MappingEngine(store=store), None)]
+    for workers in (1, 4):
+        engine = MappingEngine(cache_size=2)
+        engine.map(warm)
+        runs.append((f"cache_size=2, max_workers={workers}", engine, workers))
+    for label, engine, workers in runs:
+        result = engine.map_batch(batch, max_workers=workers)
+        got = json.dumps([solution_to_dict(r.solution) for r in result],
+                         sort_keys=True, separators=(",", ":"))
+        if got != want:
+            return f"map_batch ({label}) != cold"
+        if label == "default":
+            keys = [request.cache_key for request in batch]
+            first = [key not in keys[:i] for i, key in enumerate(keys)]
+            if [not r.cached for r in result] != first:
+                return "map_batch (default) misses != first occurrences"
+    return None
+
+
 @register_surface("map", summary="cold vs cached vs store-recovered "
-                                 "engine.map solutions")
+                                 "engine.map solutions, and map_batch "
+                                 "with duplicates")
 def fuzz_once(rng: random.Random, tmp_dir: Path) -> Optional[str]:
     """One differential case; returns a mismatch description or None."""
     schemes = MappingEngine().schemes()
@@ -298,10 +346,13 @@ def fuzz_once(rng: random.Random, tmp_dir: Path) -> Optional[str]:
     with SolutionStore(store_path) as store:
         recovered = _canonical(MappingEngine(cache_size=0, store=store),
                                requests)
+        batched = _batch_mismatch(rng, requests, cold, store)
     store_path.unlink(missing_ok=True)
     if recovered != cold:
         return (f"store-recovered != cold for [{case}] "
                 f"(store {damage})")
+    if batched is not None:
+        return f"{batched} for [{case}]"
     return None
 
 

@@ -37,13 +37,13 @@ import json
 import signal
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import multiprocessing
 
+from ..core.cache import LRUMemo
 from ..core.types import ConfigurationError
 from . import worker
 
@@ -62,57 +62,22 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             504: "Gateway Timeout"}
 
 
-class _ResponseMemo:
-    """A bounded LRU of serialized 200-responses, keyed by the
-    canonical JSON of ``(path, body)``.
+def _memo_key(path: str, body: Any) -> Optional[str]:
+    """The response-memo key of one request: ``path`` plus the SHA-256
+    of the canonical JSON body.
 
-    Deadline-carrying bodies are never memoized (their *outcome*
-    depends on wall-clock, even though successful answers don't), and
-    only 200s are stored — an error is recomputed, never replayed.
+    ``None`` means "never memoize": deadline-carrying bodies (their
+    *outcome* depends on wall-clock, even though successful answers
+    don't) and bodies with no canonical JSON form.
     """
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._data: "OrderedDict[str, bytes]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key_for(path: str, body: Any) -> Optional[str]:
-        if isinstance(body, dict) and "deadline_ms" in body:
-            return None
-        try:
-            canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        except (TypeError, ValueError):
-            return None
-        digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-        return f"{path}:{digest}"
-
-    def get(self, key: Optional[str]) -> Optional[bytes]:
-        if key is None or self.maxsize <= 0:
-            return None
-        with self._lock:
-            payload = self._data.get(key)
-            if payload is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return payload
-
-    def put(self, key: Optional[str], payload: bytes) -> None:
-        if key is None or self.maxsize <= 0:
-            return
-        with self._lock:
-            self._data[key] = payload
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+    if isinstance(body, dict) and "deadline_ms" in body:
+        return None
+    try:
+        canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError):
+        return None
+    digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return f"{path}:{digest}"
 
 
 class MappingServer:
@@ -162,7 +127,9 @@ class MappingServer:
         self.backend = backend
         self.cache_size = cache_size
         self.fault_injection = bool(fault_injection)
-        self.memo = _ResponseMemo(memo_size)
+        #: Serialized 200-responses by :func:`_memo_key`; errors are
+        #: recomputed, never replayed.
+        self.memo: LRUMemo[bytes] = LRUMemo(memo_size)
         self._server: Optional[asyncio.AbstractServer] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -370,8 +337,10 @@ class MappingServer:
             return 400, {"error": {"type": "ProtocolError", "status": 400,
                                    "message": f"invalid JSON body: {exc}"}
                          }, None
-        memo_key = _ResponseMemo.key_for(path, body)
-        hit = self.memo.get(memo_key)
+        # A disabled memo (``memo_size=0``) is never consulted, so its
+        # counters stay at zero.
+        memo_key = _memo_key(path, body) if self.memo.maxsize > 0 else None
+        hit = self.memo.get(memo_key) if memo_key is not None else None
         if hit is not None:
             return 200, None, hit
         outcome = await self._dispatch(fn, body)
@@ -382,8 +351,9 @@ class MappingServer:
             return int(error.get("status", 500)), {"error": error}, None
         result = outcome["result"]
         payload_bytes = _serialize(result)
-        self.memo.put(memo_key, _memoized_form(path, result,
-                                               payload_bytes))
+        if memo_key is not None:
+            self.memo.put(memo_key, _memoized_form(path, result,
+                                                   payload_bytes))
         return 200, None, payload_bytes
 
     def _healthz(self) -> Dict[str, Any]:
@@ -401,10 +371,8 @@ class MappingServer:
         payload = {
             "server": {"requests": self.requests, "errors": self.errors,
                        "worker_restarts": self.worker_restarts,
-                       "memo": {"size": len(self.memo),
-                                "maxsize": self.memo.maxsize,
-                                "hits": self.memo.hits,
-                                "misses": self.memo.misses},
+                       "memo": dict(self.memo.snapshot(),
+                                    maxsize=self.memo.maxsize),
                        "uptime_s": round(
                            time.monotonic() - self._started, 3)},
             "worker_engine": engine_stats,

@@ -34,7 +34,8 @@ from ..api.request import (BatchRequest, MappingRequest, array_from_dict,
 from ..chip.pipeline import InsufficientArraysError
 from ..core.array import PIMArray
 from ..core.layer import ConvLayer
-from ..core.types import ConfigurationError, MappingError, ReproError
+from ..core.types import (ConfigurationError, MappingError, ReproError,
+                          require_positive_int)
 from ..dse.requirements import InfeasibleTargetError
 from ..networks.zoo import get_network
 from ..runtime.deadline import Deadline, DeadlineExceededError
@@ -205,7 +206,7 @@ def _arrays_from(body: Dict[str, Any]) -> List[PIMArray]:
             if len(entry) != 2:
                 raise ConfigurationError(
                     f"array pair must be [rows, cols], got {entry!r}")
-            arrays.append(PIMArray(rows=int(entry[0]), cols=int(entry[1])))
+            arrays.append(PIMArray(rows=entry[0], cols=entry[1]))
         elif isinstance(entry, int) and not isinstance(entry, bool):
             arrays.append(PIMArray.square(entry))
         else:
@@ -280,16 +281,16 @@ def run_chip_pareto(body: Any) -> Dict[str, Any]:
             if not isinstance(sides, list) or not sides:
                 raise ConfigurationError(
                     "sides must be a non-empty JSON array of ints")
-            kwargs["sides"] = [int(s) for s in sides]
-        if "max_cells" in data:
-            kwargs["max_cells"] = int(data["max_cells"])
-        if "max_arrays" in data:
-            kwargs["max_arrays"] = int(data["max_arrays"])
-        if "target_bottleneck" in data:
-            kwargs["target_bottleneck"] = int(data["target_bottleneck"])
-        points = _engine().chip_pareto(
-            layers, scheme=scheme, pools=bool(data.get("pools", False)),
-            **kwargs)
+            kwargs["sides"] = sides  # array_candidates validates each
+        for name in ("max_cells", "max_arrays", "target_bottleneck"):
+            if name in data:
+                kwargs[name] = require_positive_int(name, data[name])
+        pools = data.get("pools", False)
+        if not isinstance(pools, bool):
+            raise ConfigurationError(
+                f"pools must be a JSON boolean, got {pools!r}")
+        points = _engine().chip_pareto(layers, scheme=scheme, pools=pools,
+                                       **kwargs)
         return {"scheme": scheme,
                 "points": [{"pool": p.pool, "num_arrays": p.num_arrays,
                             "cells": p.cells, "energy_nj": p.energy_nj,

@@ -246,6 +246,25 @@ class TestBatch:
         assert [resp.cached for resp in result] == [False, True, True, True]
         assert len({resp.cycles for resp in result}) == 1
 
+    def test_engine_counts_one_lookup_per_distinct_key(self):
+        engine = MappingEngine()
+        result = engine.map_batch(
+            [MappingRequest(RESNET_L4, ARRAY, "vw-sdk")] * 4)
+        assert (engine.stats.hits, engine.stats.misses) == (0, 1)
+        assert (result.stats.hits, result.stats.misses) == (3, 1)
+
+    def test_store_hit_counts_alike_through_map_and_map_batch(self, tmp_path):
+        from repro.runtime import SolutionStore
+        request = MappingRequest(RESNET_L4, ARRAY, "vw-sdk")
+        with SolutionStore(tmp_path / "l2.jsonl") as store:
+            MappingEngine(store=store).map(request)   # persist it
+            via_map = MappingEngine(store=store)
+            via_batch = MappingEngine(store=store)
+            assert via_map.map(request).cached
+            assert via_batch.map_batch([request]).responses[0].cached
+        assert [(engine.stats.hits, engine.stats.misses)
+                for engine in (via_map, via_batch)] == [(0, 1), (0, 1)]
+
     def test_cached_rerun_uses_strictly_fewer_solver_calls(self):
         # Acceptance criterion: a re-map of resnet18 + vgg16 across all
         # schemes must invoke strictly fewer solvers than the uncached

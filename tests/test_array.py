@@ -56,6 +56,11 @@ class TestParse:
         with pytest.raises(ValueError):
             PIMArray.parse("wide")
 
+    @pytest.mark.parametrize("spec", ["5x12x", "512x", "x"])
+    def test_malformed_spec_is_a_configuration_error(self, spec):
+        with pytest.raises(ConfigurationError, match=repr(spec)):
+            PIMArray.parse(spec)
+
 
 class TestMisc:
     def test_str(self):

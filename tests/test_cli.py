@@ -44,6 +44,13 @@ class TestMapCommand:
         out = capsys.readouterr().out
         assert "10x8" in out
 
+    def test_malformed_array_exits_2(self, capsys):
+        assert main(["map", "--ifm", "14", "--ic", "256", "--oc", "256",
+                     "--array", "5x12x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vwsdk: ConfigurationError: ")
+        assert "'5x12x'" in err
+
 
 class TestNetworkCommand:
     def test_resnet18(self, capsys):

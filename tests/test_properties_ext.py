@@ -1,6 +1,6 @@
 """Property-based tests for the extension modules.
 
-Mirrors ``test_properties.py`` for the beyond-paper systems: packing,
+Mirrors ``test_properties.py`` for the beyond-paper systems:
 differential encoding, bit-slicing, grouped execution, and the chip
 allocator.
 """
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ConvLayer, PIMArray
-from repro.chip import TileRequest, pack_tiles
 from repro.chip.allocation import allocate_layer
 from repro.core.grouped import grouped_mapping
 from repro.pim import (
@@ -20,29 +19,6 @@ from repro.pim import (
     sliced_mvm,
 )
 from repro.search import vwsdk_solution
-
-# ----------------------------------------------------------------------
-# Packing
-# ----------------------------------------------------------------------
-
-tile_lists = st.lists(
-    st.tuples(st.integers(1, 16), st.integers(1, 16)),
-    min_size=1, max_size=24)
-
-
-@given(tile_lists)
-@settings(max_examples=80, deadline=None)
-def test_packing_is_valid_and_bounded(dims):
-    array = PIMArray(16, 16)
-    tiles = [TileRequest(f"t{i}", r, c) for i, (r, c) in enumerate(dims)]
-    result = pack_tiles(tiles, array)
-    result.validate()                       # bounds + no overlap
-    assert len(result.placements) == len(tiles)
-    assert result.arrays_used <= len(tiles)  # never worse than 1/array
-    # Area lower bound: can't beat total-cells / array-cells.
-    lower = -(-result.cells_requested // array.cells)
-    assert result.arrays_used >= lower
-
 
 # ----------------------------------------------------------------------
 # Differential encoding

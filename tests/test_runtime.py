@@ -570,7 +570,7 @@ class TestEngineRuntime:
     def test_undecodable_record_treated_as_miss(self, tmp_path):
         with SolutionStore(tmp_path / "s.jsonl") as store:
             engine = MappingEngine(store=store)
-            key = engine._store_key(request())
+            key = engine._key(request())
             store.put(key, {"schema": "from-the-future"})
             response = engine.map(request())
             assert response.solution.cycles == 504

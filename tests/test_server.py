@@ -31,8 +31,8 @@ from repro.core import ConvLayer, PIMArray
 from repro.networks import resnet18
 from repro.runtime import SolutionStore
 from repro.server import ServerThread
-from repro.server.worker import (error_payload, run_map, run_network_sweep,
-                                 status_for)
+from repro.server.worker import (error_payload, run_chip_pareto, run_map,
+                                 run_network_sweep, status_for)
 
 REQ = {"layer": {"ifm": 14, "kernel": 3, "ic": 256, "oc": 256},
        "array": {"rows": 512, "cols": 512}, "scheme": "vw-sdk"}
@@ -337,6 +337,22 @@ class TestWorkerUnit:
         result = run_network_sweep({"network": "resnet18", "arrays": []})
         assert result["ok"] is False
         assert result["error"]["status"] == 400
+
+    @pytest.mark.parametrize("run, extra", [
+        (run_chip_pareto, {"sides": ["x"]}),
+        (run_chip_pareto, {"sides": [True]}),
+        (run_chip_pareto, {"max_cells": "big"}),
+        (run_chip_pareto, {"max_arrays": None}),
+        (run_chip_pareto, {"target_bottleneck": "x"}),
+        (run_chip_pareto, {"pools": "false"}),
+        (run_network_sweep, {"arrays": [["a", 2]]}),
+        (run_network_sweep, {"arrays": [[512, 512.5]]}),
+    ])
+    def test_malformed_numeric_or_boolean_fields_are_400(self, run, extra):
+        result = run(dict({"network": "resnet18"}, **extra))
+        assert result["ok"] is False
+        assert result["error"]["status"] == 400
+        assert result["error"]["type"] == "ConfigurationError"
 
 
 # ----------------------------------------------------------------------
