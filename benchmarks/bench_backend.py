@@ -1,14 +1,13 @@
 """Bench: zoo-scale batched DSE vs cold per-network numpy sweeps.
 
-The acceptance number behind the backend shim (``core/backend.py``),
-the minimized dtypes and the reusable workspaces: running the full
-non-square ``array_candidates`` grid across **every** model-zoo
-network through one ``zoo_pareto`` call — one engine, one candidate
-grid, window fronts and layer grids shared across networks (the heavy
-224x224 VGG stages are dominance-pruned once and reused by
-VGG-11/13/16/19), scratch borrowed from one per-thread workspace —
-must be at least 2x faster than re-running each network cold, and
-bit-identical to it.
+The acceptance number behind the backend shim (``core/backend.py``)
+and the minimized dtypes: running the full non-square
+``array_candidates`` grid across **every** model-zoo network through
+one ``zoo_pareto`` call — one engine, one candidate grid, window
+fronts and layer grids shared across networks (the heavy 224x224 VGG
+stages are dominance-pruned once and reused by VGG-11/13/16/19),
+sweep scratch allocated per chunk of arrays — must be at least 2x
+faster than re-running each network cold, and bit-identical to it.
 
 ``BENCH_backend.json`` additionally records the ``tracemalloc`` peak
 of the whole-zoo call (``memory.peak_mb``) against a committed ceiling
@@ -60,7 +59,7 @@ def cold_per_network(candidates: Sequence) -> FrontTuples:
     """The unshared baseline: every network swept by a fresh numpy engine.
 
     Module memos are cleared per network, so nothing — window fronts,
-    layer grids, sweep lattices, workspaces — carries over, mirroring
+    layer grids, sweep lattices — carries over, mirroring
     seven independent ``array_pareto`` invocations.
     """
     fronts = {}

@@ -12,8 +12,8 @@ Since the minimized-dtype pass the pinned dtype is itself checked:
 a *literal* ``np.X`` dtype must come from the sanctioned set
 (:data:`SANCTIONED_DTYPES` — ``int64`` for cycle counts and
 sentinels, ``int32`` as the proven-safe minimized storage/compute
-dtype, ``bool_`` masks, ``float64`` utilization, ``uint8`` workspace
-blocks).  An unsanctioned literal (``np.int16``, ``np.float32``, …)
+dtype, ``bool_`` masks, ``float64`` utilization, ``intp`` indices).
+An unsanctioned literal (``np.int16``, ``np.float32``, …)
 has no closed-form overflow bound backing it; narrow dtypes are only
 legitimate when they flow through a dtype *variable* produced by
 :func:`repro.core.backend.minimal_dtype`, which the rule allows.
@@ -47,7 +47,7 @@ _CONSTRUCTORS = frozenset({
 #: other width must arrive through a variable whose provenance is a
 #: closed-form bound (``minimal_dtype``), never as a bare literal.
 SANCTIONED_DTYPES = frozenset({
-    "int64", "int32", "bool_", "float64", "uint8", "intp",
+    "int64", "int32", "bool_", "float64", "intp",
 })
 
 #: Positional index of ``dtype`` for the constructors that accept it

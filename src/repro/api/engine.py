@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from dataclasses import replace
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional,
                     Sequence, Tuple, Union)
@@ -71,7 +70,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional,
 import numpy as np
 
 from ..core.array import PIMArray
-from ..core.backend import Backend, Workspace, get_backend
+from ..core.backend import Backend, get_backend
 from ..core.cache import LRUMemo
 from ..core.layer import ConvLayer
 from ..core.sweep import NetworkLattice
@@ -96,20 +95,6 @@ __all__ = ["MappingEngine", "default_engine", "set_default_engine"]
 
 #: map_batch accepts a BatchRequest or any iterable of requests.
 Requests = Union[BatchRequest, Iterable[MappingRequest]]
-
-
-class _WorkspaceLease:
-    """Per-thread token whose collection retires that thread's workspace.
-
-    Stored next to the workspace in the engine's ``threading.local``:
-    when the owning thread exits, its thread-local dict is torn down,
-    the lease loses its last strong reference, and the
-    ``weakref.finalize`` registered on it folds the workspace's
-    counters into the engine's retired totals — so dead pool threads
-    stop pinning multi-megabyte arenas while ``stats`` stays exact.
-    """
-
-    __slots__ = ("__weakref__",)
 
 
 class _Flight:
@@ -208,18 +193,6 @@ class MappingEngine:
         self._inflight: Dict[str, "_Flight"] = {}
         self._cache: LRUMemo[MappingSolution] = LRUMemo(cache_size)
         self._sweeps: LRUMemo = LRUMemo(maxsize=self.SWEEP_CACHE_SIZE)
-        # One sweep workspace per thread (Workspace is not thread-safe).
-        # The registry holds *weak* references only — the sole strong
-        # reference lives in the owning thread's ``threading.local``
-        # slot, so a dead thread's arena is collectible instead of
-        # pinned for the engine's lifetime.  Its counters are folded
-        # into ``_ws_retired`` at collection time (see
-        # :class:`_WorkspaceLease`), keeping ``stats`` exact across
-        # thread churn.
-        self._ws_local = threading.local()
-        self._ws_all: List["weakref.ref[Workspace]"] = []
-        self._ws_retired: List[int] = [0, 0, 0]  # reuses, grows, peak(max)
-        self._ws_lock = threading.Lock()
 
     @property
     def backend(self) -> Backend:
@@ -229,62 +202,6 @@ class MappingEngine:
     def _resolve_backend(self, backend: Union[str, Backend, None]) -> Backend:
         """Per-request override (``None`` means the engine's own)."""
         return self._backend if backend is None else get_backend(backend)
-
-    def _workspace(self) -> Workspace:
-        """The calling thread's reusable sweep workspace."""
-        workspace = getattr(self._ws_local, "workspace", None)
-        if workspace is None:
-            workspace = Workspace()
-            lease = _WorkspaceLease()
-            self._ws_local.workspace = workspace
-            self._ws_local.lease = lease
-            # The finalizer's args keep *workspace* alive exactly until
-            # the lease dies with its thread, at which point the final
-            # counter values are folded into the retired totals.  Only
-            # a weak engine reference is captured, so a finalizer never
-            # keeps a discarded engine (and its caches) alive.
-            weakref.finalize(lease, MappingEngine._retire_workspace,
-                             weakref.ref(self), workspace)
-            with self._ws_lock:
-                self._ws_all.append(weakref.ref(workspace))
-        return workspace
-
-    @staticmethod
-    def _retire_workspace(engine_ref: "weakref.ref[MappingEngine]",
-                          workspace: Workspace) -> None:
-        """Fold a dead thread's workspace counters into the engine's
-        retired totals and drop its registry slot."""
-        engine = engine_ref()
-        if engine is None:
-            return
-        with engine._ws_lock:
-            engine._ws_retired[0] += workspace.reuses
-            engine._ws_retired[1] += workspace.grows
-            engine._ws_retired[2] = max(engine._ws_retired[2],
-                                        workspace.peak_bytes)
-            engine._ws_all = [ref for ref in engine._ws_all
-                              if ref() is not None
-                              and ref() is not workspace]
-
-    def live_workspaces(self) -> int:
-        """Number of thread workspaces currently held alive (dead
-        threads' arenas are released, not pinned — the thread-churn
-        regression hook)."""
-        with self._ws_lock:
-            return sum(1 for ref in self._ws_all if ref() is not None)
-
-    def workspace_counters(self) -> Tuple[int, int, int]:
-        """Aggregated ``(reuses, grows, peak_bytes)`` over all threads'
-        sweep workspaces, live and retired (peak is the max, the others
-        sum)."""
-        with self._ws_lock:
-            live = [ws for ws in (ref() for ref in self._ws_all)
-                    if ws is not None]
-            reuses = self._ws_retired[0] + sum(ws.reuses for ws in live)
-            grows = self._ws_retired[1] + sum(ws.grows for ws in live)
-            peak = max([self._ws_retired[2]]
-                       + [ws.peak_bytes for ws in live])
-        return reuses, grows, peak
 
     # ------------------------------------------------------------------
     # Single-request paths
@@ -651,10 +568,9 @@ class MappingEngine:
 
         The batchable schemes answer the whole sweep in one vectorized
         :meth:`NetworkLattice.cycles_for` call — run on the engine's
-        backend (or the per-request *backend* override) with the
-        calling thread's reusable workspace, so probing a large
-        candidate grid allocates no per-probe temporaries; the
-        fallback resolves each array through the memoized batch path.
+        backend (or the per-request *backend* override), whose scratch
+        is allocated per chunk and dropped on return; the fallback
+        resolves each array through the memoized batch path.
 
         With a :class:`~repro.runtime.deadline.Deadline`, the chunked
         sweep loop checkpoints cooperatively and an expired budget
@@ -673,7 +589,6 @@ class MappingEngine:
         if sweep is not None:
             return sweep.cycles_for(arrays,
                                     backend=self._resolve_backend(backend),
-                                    workspace=self._workspace(),
                                     deadline=deadline)
         cycles = np.empty(len(arrays), dtype=np.int64)
         for i, array in enumerate(arrays):
@@ -764,8 +679,7 @@ class MappingEngine:
         """
         lattice = self.chip_lattice(network, array, scheme,
                                     cost_params=cost_params)
-        return lattice.sweep(counts, workspace=self._workspace(),
-                             deadline=deadline)
+        return lattice.sweep(counts, deadline=deadline)
 
     def chip_pareto(self, network: Iterable[ConvLayer],
                     geometries: Optional[Sequence[PIMArray]] = None,
@@ -867,16 +781,13 @@ class MappingEngine:
     def stats(self) -> CacheSnapshot:
         """Lifetime cache statistics of this engine: the solution
         memo's :meth:`~repro.core.cache.LRUMemo.snapshot` (one hit or
-        miss per L1 lookup), annotated with the resolved backend name,
-        the aggregated workspace counters, and — when the runtime
-        substrate is mounted — breaker and persistent-store counters."""
-        reuses, grows, peak = self.workspace_counters()
+        miss per L1 lookup), annotated with the resolved backend name
+        and — when the runtime substrate is mounted — breaker and
+        persistent-store counters."""
         memo = self._cache.snapshot()
         snap = CacheSnapshot(hits=memo["hits"], misses=memo["misses"],
                              evictions=memo["evictions"], size=memo["size"],
                              backend=self._backend.name,
-                             workspace_reuses=reuses, workspace_grows=grows,
-                             workspace_peak_bytes=peak,
                              coalesced=self._coalesced)
         if self._breaker is not None:
             brk = self._breaker.snapshot()

@@ -73,13 +73,10 @@ class CacheSnapshot:
 
     Engine-level snapshots (:attr:`MappingEngine.stats
     <repro.api.engine.MappingEngine.stats>`) additionally carry the
-    engine's compute ``backend`` name and its aggregated workspace
-    counters (``workspace_reuses`` / ``workspace_grows`` /
-    ``workspace_peak_bytes`` — see
-    :class:`repro.core.backend.Workspace`).  Batch-scoped snapshots
-    leave ``backend`` as ``None`` and the serialised envelope then
-    omits the backend/workspace keys, so pre-existing JSON consumers
-    see byte-identical output.
+    engine's compute ``backend`` name.  Batch-scoped snapshots leave
+    ``backend`` as ``None`` and the serialised envelope then omits the
+    ``backend`` key, so pre-existing JSON consumers see byte-identical
+    output.
 
     Engines carrying runtime substrate report it the same way:
     circuit-breaker counters (``breaker_state`` is ``None`` on
@@ -95,9 +92,6 @@ class CacheSnapshot:
     evictions: int = 0
     size: int = 0
     backend: Optional[str] = None
-    workspace_reuses: int = 0
-    workspace_grows: int = 0
-    workspace_peak_bytes: int = 0
     breaker_state: Optional[str] = None
     breaker_trips: int = 0
     breaker_fallbacks: int = 0
@@ -131,9 +125,6 @@ class CacheSnapshot:
             "evictions": self.evictions, "size": self.size}
         if self.backend is not None:
             data["backend"] = self.backend
-            data["workspace"] = {"reuses": self.workspace_reuses,
-                                 "grows": self.workspace_grows,
-                                 "peak_bytes": self.workspace_peak_bytes}
         if self.breaker_state is not None:
             data["breaker"] = {"state": self.breaker_state,
                                "trips": self.breaker_trips,
@@ -151,16 +142,12 @@ class CacheSnapshot:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CacheSnapshot":
         """Inverse of :meth:`to_dict`."""
-        workspace = data.get("workspace", {})
         breaker = data.get("breaker", {})
         store = data.get("store")
         return cls(hits=data.get("hits", 0), misses=data.get("misses", 0),
                    evictions=data.get("evictions", 0),
                    size=data.get("size", 0),
                    backend=data.get("backend"),
-                   workspace_reuses=workspace.get("reuses", 0),
-                   workspace_grows=workspace.get("grows", 0),
-                   workspace_peak_bytes=workspace.get("peak_bytes", 0),
                    breaker_state=breaker.get("state"),
                    breaker_trips=breaker.get("trips", 0),
                    breaker_fallbacks=breaker.get("fallbacks", 0),

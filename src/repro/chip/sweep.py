@@ -55,7 +55,6 @@ from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
 
 import numpy as np
 
-from ..core.backend import Workspace
 from ..core.cache import frozen_arrays
 from ..core.cost import CostParams, cost_report
 from ..core.lattice import INFEASIBLE
@@ -305,10 +304,7 @@ class ChipLattice:
                 [cost_report(s, cost_params).compute_energy_nj
                  for s in solutions], dtype=np.float64)
 
-        # Preallocated staircase vectors (not workspace-backed: these
-        # become frozen cache residents, so they must own fresh
-        # storage).  Sizing first kills the old per-run list-append +
-        # asarray churn without touching the values.
+        # Size the staircase vectors first, then fill them in place.
         staircases = [_stage_staircase(p) for p in n_pw.tolist()]
         total = sum(len(runs) for runs in staircases)
         lat_v = np.empty(total, dtype=np.int64)
@@ -392,22 +388,17 @@ class ChipLattice:
     # ------------------------------------------------------------------
     # Vectorized replay (probe grids)
     # ------------------------------------------------------------------
-    def replicas_for(self, counts: Sequence[int],
-                     workspace: Optional[Workspace] = None) -> np.ndarray:
+    def replicas_for(self, counts: Sequence[int]) -> np.ndarray:
         """Final greedy replica counts per probe and stage: ``(A, S)``.
 
         Infeasible probes (budget below :attr:`floor_arrays`) report
         one replica per stage; mask them with ``counts >= floor``.
-        The returned array is always freshly allocated (callers may
-        keep it); only the aliveness scratch borrows from *workspace*.
+        The returned array is freshly allocated (callers may keep it).
         """
         counts = np.asarray(list(counts), dtype=np.int64)
         budget = np.maximum(counts - self.floor_arrays, 0)
         replicas = np.ones((counts.size, self.num_stages), dtype=np.int64)
-        ws = workspace if workspace is not None else Workspace()
-        mark = ws.mark()
-        alive = ws.borrow(replicas.shape, np.bool_)
-        alive[:] = True
+        alive = np.ones(replicas.shape, dtype=np.bool_)
         stages = self.group_stage.tolist()
         costs = self.group_cost.tolist()
         group_counts = self.group_count.tolist()
@@ -419,7 +410,6 @@ class ChipLattice:
             budget -= take * cost
             # The greedy drops a stage at its first unaffordable step.
             alive[:, stage] = live & (take == count)
-        ws.release(mark)
         return replicas
 
     #: Probes per chunk of a :meth:`sweep` — bounds the ``(A, S)``
@@ -427,17 +417,15 @@ class ChipLattice:
     SWEEP_CHUNK = 4096
 
     def sweep(self, counts: Sequence[int],
-              workspace: Optional[Workspace] = None,
               deadline: Optional["Deadline"] = None) -> ChipSweep:
         """Greedy outcomes for a whole vector of array counts.
 
         One scan over the merged groups, every probe advanced as NumPy
         vectors — bit-identical per probe to
         :func:`~repro.chip.pipeline.plan_pipeline` on the same
-        solutions.  The ``(A, S)`` sweep temporaries borrow from
-        *workspace* when given (one arena serves a whole probe-grid
-        study); the returned :class:`ChipSweep` vectors are always
-        fresh allocations.
+        solutions.  The ``(A, S)`` temporaries are allocated per chunk
+        and dropped with it; the returned :class:`ChipSweep` vectors
+        are fresh allocations.
 
         Probe grids are processed in :data:`SWEEP_CHUNK` chunks; each
         chunk boundary is a cooperative cancellation checkpoint when a
@@ -454,9 +442,8 @@ class ChipLattice:
         [False, True]
         """
         counts = np.asarray(list(counts), dtype=np.int64)
-        ws = workspace if workspace is not None else Workspace()
         if deadline is None and counts.size <= self.SWEEP_CHUNK:
-            return self._sweep_block(counts, ws)
+            return self._sweep_block(counts)
         blocks: List[ChipSweep] = []
         for start in range(0, counts.size, self.SWEEP_CHUNK):
             if deadline is not None:
@@ -466,18 +453,16 @@ class ChipLattice:
                                        if blocks else None)},
                     where="ChipLattice.sweep")
             blocks.append(self._sweep_block(
-                counts[start:start + self.SWEEP_CHUNK], ws))
+                counts[start:start + self.SWEEP_CHUNK]))
         if len(blocks) == 1:
             return blocks[0]
         return _concat_sweeps(blocks)
 
-    def _sweep_block(self, counts: np.ndarray,
-                     ws: Workspace) -> ChipSweep:
+    def _sweep_block(self, counts: np.ndarray) -> ChipSweep:
         """One chunk of :meth:`sweep` (the whole grid, usually)."""
-        replicas = self.replicas_for(counts, ws)
-        mark = ws.mark()
-        scratch = ws.borrow(replicas.shape, np.int64)
-        latency = ws.borrow(replicas.shape, np.int64)
+        replicas = self.replicas_for(counts)
+        scratch = np.empty(replicas.shape, dtype=np.int64)
+        latency = np.empty(replicas.shape, dtype=np.int64)
         np.floor_divide(np.negative(self.n_pw[None, :]), replicas,
                         out=latency)
         np.negative(latency, out=latency)
@@ -490,7 +475,6 @@ class ChipLattice:
                     out=scratch)
         cells = scratch.sum(axis=1)
         fill = latency.sum(axis=1)
-        ws.release(mark)
         energy_v = latency_v = None
         if self.cost_params is not None:
             energy_v = np.where(feasible, self.total_energy_nj, np.nan)

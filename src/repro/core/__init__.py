@@ -11,7 +11,7 @@ Public surface:
 * :mod:`repro.core.cost` — latency/energy on top of cycles.
 * :mod:`repro.core.strided` — stride/padding generalisation (extension).
 * :mod:`repro.core.backend` — pluggable compute backends (numpy
-  reference / optional numba JIT), minimized dtypes and workspaces.
+  reference / optional numba JIT) and minimized dtypes.
 """
 
 from .array import PAPER_ARRAY_SIZES, PIMArray
@@ -20,7 +20,6 @@ from .backend import (
     Backend,
     NumbaBackend,
     NumpyBackend,
-    Workspace,
     get_backend,
     minimal_dtype,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "Backend",
     "NumpyBackend",
     "NumbaBackend",
-    "Workspace",
     "get_backend",
     "minimal_dtype",
     "HAVE_NUMBA",

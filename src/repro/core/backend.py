@@ -9,11 +9,10 @@ a :class:`Backend` so the same call sites can run either
 
 * :class:`NumpyBackend` — the always-available reference.  Vectorized
   exactly like the historical inline code (bit-identical by
-  construction), but with two memory upgrades: arithmetic runs in the
-  smallest dtype a closed-form bound proves safe
-  (:func:`minimal_dtype`), and the large ``(arrays, cells)``
-  temporaries come from a reusable :class:`Workspace` arena instead of
-  fresh per-probe allocations; or
+  construction), but with arithmetic in the smallest dtype a
+  closed-form bound proves safe (:func:`minimal_dtype`); its
+  ``(arrays, cells)`` temporaries are plain allocations, bounded per
+  chunk by the caller; or
 * :class:`NumbaBackend` — the same arithmetic as ``njit``-compiled
   loop kernels (:mod:`repro.core._kernels`), which never materialise
   the ``(arrays, cells)`` plane at all.  Available only when numba is
@@ -26,9 +25,8 @@ everywhere) prefers numba and silently falls back to numpy, ``"numpy"``
 and ``"numba"`` force a choice (``"numba"`` raises
 :class:`~repro.core.types.ConfigurationError` when absent), and an
 existing :class:`Backend` instance passes through — the per-request
-override hook.  Backends are stateless and shared process-wide; all
-mutable scratch lives in explicitly-passed :class:`Workspace` objects,
-which are **not** thread-safe — the engine keeps one per worker thread.
+override hook.  Backends are stateless and shared process-wide, and
+keep no scratch between calls.
 
 Every backend is bit-identical to the scalar oracle
 (``core/cycles.py``): the minimized dtypes never change a value because
@@ -43,7 +41,7 @@ against the global int64 sentinel.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -51,7 +49,7 @@ from ._kernels import finish_kernel, geo_cycles_kernel
 from .types import ConfigurationError
 
 __all__ = ["HAVE_NUMBA", "Backend", "NumpyBackend", "NumbaBackend",
-           "Workspace", "get_backend", "minimal_dtype"]
+           "get_backend", "minimal_dtype"]
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba  # noqa: F401
@@ -81,93 +79,14 @@ def minimal_dtype(bound: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-class Workspace:
-    """A bump-pointer arena for per-probe sweep temporaries.
-
-    ``sweep_cycles`` / ``chip_sweep`` style loops evaluate the same
-    shapes over and over; borrowing their scratch from one arena turns
-    per-probe allocations into pointer bumps.  Usage is strictly
-    stack-like::
-
-        mark = ws.mark()
-        buf = ws.borrow((rows, cols), np.int32)
-        ...
-        ws.release(mark)       # buf's storage becomes reusable
-
-    Borrowed views are valid until their mark is released; nothing
-    handed to a caller or a cache may live in the arena (cached
-    outputs stay frozen fresh allocations — see ``core/cache.py`` —
-    while arena scratch stays private and writable).  When a borrow
-    outgrows the arena the block is replaced (old views keep the old
-    block alive, so correctness never depends on arena size) and the
-    ``grows`` counter ticks; steady-state sweeps report ``reuses``.
-
-    Not thread-safe: one arena per thread (the engine keeps one per
-    worker in thread-local storage).
-    """
-
-    # ``__weakref__`` lets the engine track per-thread workspaces
-    # weakly, so a dead pool thread's arena is collectible instead of
-    # pinned for the engine's lifetime.
-    __slots__ = ("_block", "_cursor", "reuses", "grows", "peak_bytes",
-                 "__weakref__")
-
-    #: Bump-pointer alignment (bytes) — keeps every borrow aligned for
-    #: any integer dtype and friendly to vectorized loads.
-    ALIGN = 16
-
-    def __init__(self, nbytes: int = 1 << 20) -> None:
-        self._block = np.empty(int(nbytes), dtype=np.uint8)
-        self._cursor = 0
-        #: Borrows served from existing capacity (the steady state).
-        self.reuses = 0
-        #: Borrows that forced a larger block.
-        self.grows = 0
-        #: High-water arena usage in bytes.
-        self.peak_bytes = 0
-
-    def mark(self) -> int:
-        """The current cursor — pass to :meth:`release` to unwind."""
-        return self._cursor
-
-    def release(self, mark: int) -> None:
-        """Unwind the cursor to *mark*, recycling everything above it."""
-        self._cursor = mark
-
-    def borrow(self, shape: Union[int, Tuple[int, ...]],
-               dtype: "np.typing.DTypeLike") -> np.ndarray:
-        """An uninitialised array of *shape*/*dtype* backed by the arena."""
-        dt = np.dtype(dtype)
-        dims = (shape,) if isinstance(shape, int) else tuple(shape)
-        cells = 1
-        for dim in dims:
-            cells *= int(dim)
-        nbytes = cells * dt.itemsize
-        start = -(-self._cursor // self.ALIGN) * self.ALIGN
-        stop = start + nbytes
-        if stop > self._block.size:
-            # Replace (never resize): outstanding views keep the old
-            # block alive, so borrows before this one stay valid.
-            self._block = np.empty(max(stop, 2 * self._block.size),
-                                   dtype=np.uint8)
-            self.grows += 1
-        else:
-            self.reuses += 1
-        self._cursor = stop
-        if stop > self.peak_bytes:
-            self.peak_bytes = stop
-        return self._block[start:stop].view(dt).reshape(dims)
-
-
 class Backend:
     """One implementation of the lattice family's two hot kernels.
 
     Callers pass the *compute dtype* they derived from a closed-form
     bound (see :func:`minimal_dtype`); the backend guarantees the
     returned **values** are bit-identical to the scalar model whatever
-    dtype is requested.  Large intermediates may be drawn from an
-    optional :class:`Workspace`; returned arrays are always fresh
-    (never arena-backed), so callers may freeze and cache them.
+    dtype is requested.  Returned arrays are fresh and owned by the
+    caller, who may freeze and cache them.
     """
 
     name: str = "abstract"
@@ -189,8 +108,7 @@ class Backend:
                    windows_f: np.ndarray, n_pw_f: np.ndarray,
                    ic_f: np.ndarray, oc_f: np.ndarray,
                    seg_starts: np.ndarray, seg_geo: np.ndarray,
-                   dtype: np.dtype,
-                   workspace: Optional[Workspace] = None) -> np.ndarray:
+                   dtype: np.dtype) -> np.ndarray:
         """Per-(array, geometry) solved cycles: ``(A, G)`` int64.
 
         The eq. 1 im2col incumbent per geometry improved by the best
@@ -249,10 +167,8 @@ class NumpyBackend(Backend):
                    windows_f: np.ndarray, n_pw_f: np.ndarray,
                    ic_f: np.ndarray, oc_f: np.ndarray,
                    seg_starts: np.ndarray, seg_geo: np.ndarray,
-                   dtype: np.dtype,
-                   workspace: Optional[Workspace] = None) -> np.ndarray:
+                   dtype: np.dtype) -> np.ndarray:
         dt = np.dtype(dtype)
-        ws = workspace if workspace is not None else Workspace()
         num_arrays = rows.shape[0]
         num_geo = n_win.shape[0]
         num_cells = area_f.shape[0]
@@ -260,9 +176,8 @@ class NumpyBackend(Backend):
         c = cols.astype(dt, copy=False)[:, None]
 
         best = np.empty((num_arrays, num_geo), dtype=np.int64)
-        mark = ws.mark()
-        t_ar = ws.borrow((num_arrays, num_geo), dt)
-        t_ac = ws.borrow((num_arrays, num_geo), dt)
+        t_ar = np.empty((num_arrays, num_geo), dtype=dt)
+        t_ac = np.empty((num_arrays, num_geo), dtype=dt)
         im2col = im2col_rows.astype(dt, copy=False)[None, :]
         oc_g = oc.astype(dt, copy=False)[None, :]
         np.floor_divide(np.negative(im2col), r, out=t_ar)
@@ -276,11 +191,11 @@ class NumpyBackend(Backend):
         if num_cells:
             sentinel = dt.type(np.iinfo(dt).max)
             shape = (num_arrays, num_cells)
-            war = ws.borrow(shape, dt)
-            wac = ws.borrow(shape, dt)
-            cyc = ws.borrow(shape, dt)
-            feas = ws.borrow(shape, np.bool_)
-            scratch = ws.borrow(shape, np.bool_)
+            war = np.empty(shape, dtype=dt)
+            wac = np.empty(shape, dtype=dt)
+            cyc = np.empty(shape, dtype=dt)
+            feas = np.empty(shape, dtype=np.bool_)
+            scratch = np.empty(shape, dtype=np.bool_)
             af = area_f.astype(dt, copy=False)[None, :]
             wf = windows_f.astype(dt, copy=False)[None, :]
             icf = ic_f.astype(dt, copy=False)[None, :]
@@ -305,7 +220,6 @@ class NumpyBackend(Backend):
             np.copyto(cyc, sentinel, where=scratch)
             seg_best = np.minimum.reduceat(cyc, seg_starts, axis=1)
             best[:, seg_geo] = np.minimum(best[:, seg_geo], seg_best)
-        ws.release(mark)
         return best
 
 
@@ -356,10 +270,9 @@ class NumbaBackend(Backend):
                    windows_f: np.ndarray, n_pw_f: np.ndarray,
                    ic_f: np.ndarray, oc_f: np.ndarray,
                    seg_starts: np.ndarray, seg_geo: np.ndarray,
-                   dtype: np.dtype,
-                   workspace: Optional[Workspace] = None) -> np.ndarray:
-        # dtype/workspace are part of the shared signature but moot
-        # here: the kernel runs int64 scalars and allocates no planes.
+                   dtype: np.dtype) -> np.ndarray:
+        # dtype is part of the shared signature but moot here: the
+        # kernel runs int64 scalars and allocates no planes.
         out = np.empty((rows.shape[0], n_win.shape[0]), dtype=np.int64)
         seg_ends = np.empty(seg_starts.shape[0], dtype=np.int64)
         if seg_starts.shape[0]:
@@ -371,8 +284,8 @@ class NumbaBackend(Backend):
         return out
 
 
-#: Shared stateless instances — backends carry no mutable state (all
-#: scratch is workspace-borrowed), so one of each serves the process.
+#: Shared stateless instances — backends carry no mutable state, so
+#: one of each serves the process.
 _INSTANCES: dict = {}
 
 

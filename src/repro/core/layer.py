@@ -106,7 +106,9 @@ class ConvLayer:
         :mod:`repro.networks.io`) and the engine API envelopes:
         ``ifm``/``kernel`` accept a scalar (square) or an ``[h, w]``
         pair; ``stride``, ``padding``, ``repeats`` and ``name`` are
-        optional.
+        optional.  Integer fields are validated as given, never
+        coerced: ``64.5``, ``true`` or ``"64"`` raise
+        :class:`ConfigurationError`.
 
         >>> ConvLayer.from_dict({"ifm": 8, "kernel": [1, 3],
         ...                      "ic": 2, "oc": 4}).shape_str
@@ -120,10 +122,10 @@ class ConvLayer:
         kernel_h, kernel_w = as_pair("kernel", entry["kernel"])
         return cls(
             ifm_h=ifm_h, ifm_w=ifm_w, kernel_h=kernel_h, kernel_w=kernel_w,
-            in_channels=int(entry["ic"]), out_channels=int(entry["oc"]),
-            stride=int(entry.get("stride", 1)),
-            padding=int(entry.get("padding", 0)),
-            repeats=int(entry.get("repeats", 1)),
+            in_channels=entry["ic"], out_channels=entry["oc"],
+            stride=entry.get("stride", 1),
+            padding=entry.get("padding", 0),
+            repeats=entry.get("repeats", 1),
             name=str(entry.get("name", "")))
 
     def to_dict(self) -> Dict:

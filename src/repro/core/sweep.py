@@ -56,7 +56,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional,
 import numpy as np
 
 from .array import PIMArray
-from .backend import Backend, Workspace, get_backend, minimal_dtype
+from .backend import Backend, get_backend, minimal_dtype
 from .cache import LRUMemo, freeze_arrays
 from .layer import ConvLayer
 from .lattice import _geometry_key, _minimized, layer_lattice
@@ -316,23 +316,22 @@ class NetworkLattice:
         return minimal_dtype(bound)
 
     def _geo_cycles(self, rows: np.ndarray, cols: np.ndarray,
-                    backend: Union[str, Backend, None] = None,
-                    workspace: Optional[Workspace] = None) -> np.ndarray:
+                    backend: Union[str, Backend, None] = None
+                    ) -> np.ndarray:
         """Per-(array, geometry) solved cycle counts: ``(A, G)`` int64.
 
         Matches ``solve(layer, array, scheme).cycles`` cell for cell:
         the eq. 1 im2col count, improved by the best feasible window of
         the stride-1 grid when the scheme searches (strict-vs-non-strict
         improvement cannot change a minimum).  Evaluation runs on the
-        selected backend in the :meth:`sweep_dtype` minimized dtype;
-        scratch comes from *workspace* when given.
+        selected backend in the :meth:`sweep_dtype` minimized dtype.
         """
         be = get_backend("auto" if backend is None else backend)
         return be.geo_cycles(
             rows, cols, self.n_win, self.im2col_rows, self.oc,
             self.area_f, self.windows_f, self.n_pw_f, self.ic_f,
             self.oc_f, self.seg_starts, self.seg_geo,
-            self.sweep_dtype(rows, cols), workspace)
+            self.sweep_dtype(rows, cols))
 
     def _rows_cols(self, arrays: Sequence[PIMArray]
                    ) -> Tuple[np.ndarray, np.ndarray]:
@@ -367,15 +366,12 @@ class NetworkLattice:
 
     def cycles_for(self, arrays: Sequence[PIMArray],
                    backend: Union[str, Backend, None] = None,
-                   workspace: Optional[Workspace] = None,
                    deadline: Optional["Deadline"] = None) -> np.ndarray:
         """Total network cycles for *many* arrays: ``(A,)`` int64.
 
         One vectorized evaluation over the shared flat grids, chunked
-        so no more than ~2M ``array x cell`` entries are live at once.
-        Chunks reuse one :class:`~repro.core.backend.Workspace` (the
-        caller's, or a private throwaway), so a sweep allocates its
-        scratch once, not per chunk.
+        so no more than ~2M ``array x cell`` entries are live at once;
+        each chunk allocates its own scratch and drops it on return.
 
         The chunk boundary is also the sweep's cooperative
         cancellation checkpoint: with a
@@ -395,7 +391,6 @@ class NetworkLattice:
         if not arrays:
             return np.empty(0, dtype=np.int64)
         be = get_backend("auto" if backend is None else backend)
-        ws = workspace if workspace is not None else Workspace()
         rows, cols = self._rows_cols(arrays)
         chunk = max(1, _CHUNK_CELLS // max(self.num_cells, 1))
         totals = np.empty(len(arrays), dtype=np.int64)
@@ -407,7 +402,7 @@ class NetworkLattice:
                     where="NetworkLattice.cycles_for")
             stop = start + chunk
             geo = self._geo_cycles(rows[start:stop], cols[start:stop],
-                                   be, ws)
+                                   be)
             totals[start:stop] = geo @ self.counts
         return totals
 

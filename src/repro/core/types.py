@@ -81,8 +81,12 @@ def require_non_negative_int(name: str, value: object) -> int:
 
 
 def _coerce_int(name: str, value: object) -> int:
-    if isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be an integer, got bool {value!r}")
+    # Bools are ints and strings parse as floats, but neither is a
+    # dimension: reject them before the float() round-trip below.
+    if isinstance(value, (bool, str, bytes)):
+        raise ConfigurationError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        )
     if isinstance(value, int):
         return value
     # Accept numpy integer scalars and floats that are exactly integral.

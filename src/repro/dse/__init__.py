@@ -8,8 +8,7 @@ closed form off one precomputed :class:`~repro.chip.sweep.ChipLattice`
 — instead of re-solving or re-planning per probe.  Infeasible targets
 raise the typed :class:`InfeasibleTargetError`.  :func:`zoo_pareto` is
 the zoo-scale entry point: one shared non-square candidate grid swept
-across every model-zoo network on one engine (and one reusable
-workspace).
+across every model-zoo network on one engine.
 """
 
 from .pareto import (

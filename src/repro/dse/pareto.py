@@ -233,9 +233,9 @@ def zoo_pareto(networks: Optional[Sequence[str]] = None,
     :meth:`~repro.api.engine.MappingEngine.sweep_cycles` call, the
     dominance-pruned window fronts are memoized per conv *geometry* so
     the heavy 224x224 VGG stages are pruned once and reused across
-    VGG-11/13/16/19, and all per-array sweep temporaries come from the
-    engine's reusable workspace — no per-probe allocation anywhere in
-    the pass.  Returns an insertion-ordered ``{name: frontier}`` dict.
+    VGG-11/13/16/19, and sweep temporaries are allocated per chunk of
+    arrays, never per probe.  Returns an insertion-ordered
+    ``{name: frontier}`` dict.
 
     >>> fronts = zoo_pareto(["resnet18"], sides=(128, 256, 512),
     ...                     square_only=True)

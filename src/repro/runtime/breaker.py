@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.backend import Backend, Workspace, get_backend
+from ..core.backend import Backend, get_backend
 from ..core.types import ConfigurationError
 from .faults import fault_point, register_fault_site
 
@@ -162,8 +162,7 @@ class BreakerBackend(Backend):
                    windows_f: np.ndarray, n_pw_f: np.ndarray,
                    ic_f: np.ndarray, oc_f: np.ndarray,
                    seg_starts: np.ndarray, seg_geo: np.ndarray,
-                   dtype: np.dtype,
-                   workspace: Optional[Workspace] = None) -> np.ndarray:
+                   dtype: np.dtype) -> np.ndarray:
         return self._call("geo_cycles", rows, cols, n_win, im2col_rows,
                           oc, area_f, windows_f, n_pw_f, ic_f, oc_f,
-                          seg_starts, seg_geo, dtype, workspace=workspace)
+                          seg_starts, seg_geo, dtype)

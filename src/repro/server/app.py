@@ -62,6 +62,12 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             504: "Gateway Timeout"}
 
 
+def _reject_constant(token: str) -> Any:
+    """``json.loads`` hook: ``NaN`` and ``Infinity`` are not JSON, and a
+    body carrying them would be echoed back as invalid JSON."""
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def _memo_key(path: str, body: Any) -> Optional[str]:
     """The response-memo key of one request: ``path`` plus the SHA-256
     of the canonical JSON body.
@@ -332,8 +338,10 @@ class MappingServer:
         if method != "POST":
             return 405, self._method_error("POST"), None
         try:
-            body = json.loads(raw_body.decode("utf-8")) if raw_body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            body = (json.loads(raw_body.decode("utf-8"),
+                               parse_constant=_reject_constant)
+                    if raw_body else {})
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             return 400, {"error": {"type": "ProtocolError", "status": 400,
                                    "message": f"invalid JSON body: {exc}"}
                          }, None

@@ -23,6 +23,7 @@ and a pool rebuild.
 from __future__ import annotations
 
 import os
+import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -162,15 +163,14 @@ def _deadline_from(body: Dict[str, Any]) -> Optional[Deadline]:
     raw = body.get("deadline_ms")
     if raw is None:
         return None
-    try:
-        budget_ms = float(raw)
-    except (TypeError, ValueError):
+    # Only a finite JSON number: a string or bool is not coerced, and
+    # NaN, Infinity or an int past the float range never means "no
+    # deadline".
+    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+            or not 0 < raw <= sys.float_info.max):
         raise ConfigurationError(
-            f"deadline_ms must be a number, got {raw!r}") from None
-    if budget_ms <= 0:
-        raise ConfigurationError(
-            f"deadline_ms must be > 0, got {budget_ms}")
-    return Deadline(budget_ms / 1000.0)
+            f"deadline_ms must be a finite JSON number > 0, got {raw!r}")
+    return Deadline(raw / 1000.0)
 
 
 def _layers_from(body: Dict[str, Any]) -> List[ConvLayer]:

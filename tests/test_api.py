@@ -389,43 +389,33 @@ class TestConsumersShareEngine:
         assert engine.stats.solver_calls == first
 
 
-class TestWorkspaceChurn:
-    """Regression: `_ws_all` must not pin dead threads' workspaces.
+class TestSweepScratch:
+    """A warm engine sweep keeps nothing once it returns: scratch lives
+    only inside the chunk loops that compute with it."""
 
-    The engine once held strong references to every thread's sweep
-    Workspace forever; a server spawning short-lived threads leaked
-    one arena per thread.  Now the registry holds weakrefs and a
-    per-thread lease folds the counters into retired totals when its
-    thread dies.
-    """
+    def test_warm_sweeps_leave_no_traced_memory(self):
+        import tracemalloc
 
-    def test_dead_threads_release_their_workspaces(self):
-        import gc
-        import threading
+        from repro.dse.pareto import array_candidates
 
-        engine = MappingEngine()
-        arrays = [PIMArray.square(side) for side in (128, 256)]
-
-        def churn():
-            for _ in range(3):
-                engine.sweep_cycles([RESNET_L4], arrays, "vw-sdk")
-
-        for _ in range(8):
-            thread = threading.Thread(target=churn)
-            thread.start()
-            thread.join()
-        gc.collect()  # finalize the dead threads' leases
-        assert engine.live_workspaces() == 0
-        # ... without losing their telemetry: 8 threads x 3 sweeps
-        # reused the arena and the peak survives retirement.
-        reuses, _grows, peak_bytes = engine.workspace_counters()
-        assert reuses > 0
-        assert peak_bytes > 0
-
-    def test_live_thread_workspace_stays_live(self):
-        engine = MappingEngine()
-        engine.sweep_cycles([RESNET_L4], [PIMArray.square(256)], "vw-sdk")
-        assert engine.live_workspaces() == 1
+        # numpy is the backend that builds (arrays, cells) planes; a
+        # numba backend's first call would also trace its JIT caches.
+        engine = MappingEngine(backend="numpy")
+        net = vgg16()
+        arrays = array_candidates(1024 * 1024)
+        engine.network_sweep(net)
+        lattice = engine.chip_lattice(net, ARRAY)
+        counts = range(lattice.floor_arrays,
+                       lattice.floor_arrays + 8192)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            engine.sweep_cycles(net, arrays)
+            engine.chip_sweep(net, ARRAY, counts)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 256 * 1024
 
 
 class TestCoalescingDeadline:

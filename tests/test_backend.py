@@ -2,9 +2,9 @@
 
 The contract of ``core/backend.py`` is that every backend — the numpy
 reference, the numba JIT kernels, and (transitively) the minimized
-dtypes and workspace reuse both employ — produces **bit-identical**
-values to the scalar model.  These properties pin it over randomized
-layers, arrays and strides:
+dtypes both employ — produces **bit-identical** values to the scalar
+model.  These properties pin it over randomized layers, arrays and
+strides:
 
 * the numba kernel *bodies* (``core/_kernels.py``) run interpreted
   here, so the JIT arithmetic is property-tested even on numba-free
@@ -12,8 +12,7 @@ layers, arrays and strides:
   installed — see the ``skipif`` tests);
 * the dtype-widening boundary is forced explicitly and ``INFEASIBLE``
   semantics are asserted to survive minimization;
-* the workspace arena's reuse/grow/alignment rules are pinned, along
-  with the engine-level counters surfaced through ``stats``.
+* the engine surfaces its resolved backend through ``stats``.
 """
 
 import numpy as np
@@ -25,8 +24,7 @@ from repro.api import MappingEngine
 from repro.core import ConvLayer, PIMArray
 from repro.core._kernels import finish_kernel, geo_cycles_kernel
 from repro.core.backend import (HAVE_NUMBA, Backend, NumbaBackend,
-                                NumpyBackend, Workspace, get_backend,
-                                minimal_dtype)
+                                NumpyBackend, get_backend, minimal_dtype)
 from repro.core.cycles import variable_window_cycles
 from repro.core.lattice import INFEASIBLE, layer_lattice
 from repro.core.sweep import NetworkLattice
@@ -201,46 +199,6 @@ def test_all_infeasible_grid_is_all_sentinel():
 
 
 # ----------------------------------------------------------------------
-# Workspace arena discipline
-# ----------------------------------------------------------------------
-
-def test_workspace_grows_then_reuses():
-    ws = Workspace(nbytes=64)
-    first = ws.borrow((4, 4), np.int64)          # 128 B > 64 B block
-    assert first.shape == (4, 4)
-    assert ws.grows == 1 and ws.reuses == 0
-    first[:] = 7
-    ws.release(0)
-    second = ws.borrow((2, 2), np.int64)
-    assert ws.reuses == 1
-    assert second.shape == (2, 2)
-    assert ws.peak_bytes >= 128
-
-
-def test_workspace_borrows_are_aligned_and_lifo():
-    ws = Workspace()
-    mark = ws.mark()
-    a = ws.borrow(3, np.uint8)
-    b = ws.borrow((2, 2), np.int64)
-    assert b.ctypes.data % Workspace.ALIGN == 0
-    a[:] = 1
-    b[:] = 2
-    assert a.tolist() == [1, 1, 1]               # no overlap
-    ws.release(mark)
-    c = ws.borrow(3, np.uint8)
-    assert c.ctypes.data == a.ctypes.data        # storage recycled
-
-
-def test_workspace_grow_keeps_old_views_alive():
-    ws = Workspace(nbytes=32)
-    old = ws.borrow(16, np.uint8)
-    old[:] = 42
-    ws.borrow(1 << 12, np.uint8)                 # forces replacement
-    assert ws.grows >= 1
-    assert old.tolist() == [42] * 16             # old block still valid
-
-
-# ----------------------------------------------------------------------
 # Selection, fallback and engine surfacing
 # ----------------------------------------------------------------------
 
@@ -272,10 +230,8 @@ def test_engine_surfaces_backend_and_workspace_counters():
     assert np.array_equal(engine.sweep_cycles(net, probes), first)
     stats = engine.stats
     assert stats.backend == "numpy"
-    assert stats.workspace_reuses > 0
     payload = stats.to_dict()
     assert payload["backend"] == "numpy"
-    assert payload["workspace"]["reuses"] == stats.workspace_reuses
     # Batch-scoped snapshots keep the legacy envelope exactly.
     from repro.api import CacheSnapshot
     assert "backend" not in CacheSnapshot(hits=1).to_dict()

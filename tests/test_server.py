@@ -34,8 +34,9 @@ from repro.server import ServerThread
 from repro.server.worker import (error_payload, run_chip_pareto, run_map,
                                  run_network_sweep, status_for)
 
-REQ = {"layer": {"ifm": 14, "kernel": 3, "ic": 256, "oc": 256},
-       "array": {"rows": 512, "cols": 512}, "scheme": "vw-sdk"}
+LAYER = {"ifm": 14, "kernel": 3, "ic": 256, "oc": 256}
+REQ = {"layer": LAYER, "array": {"rows": 512, "cols": 512},
+       "scheme": "vw-sdk"}
 
 
 @pytest.fixture(scope="module")
@@ -161,9 +162,15 @@ class TestErrorStatuses:
         assert "vw-sdk" in body["error"]["message"]
 
     def test_malformed_json_400(self, server):
-        status, body = call(server, "POST", "/v1/map", raw="{nope")
-        assert status == 400
-        assert body["error"]["type"] == "ProtocolError"
+        # NaN and Infinity parse under plain json.loads, but echoing
+        # them back would hand strict clients a body they cannot parse.
+        tagged = json.dumps({"request": dict(REQ, tag="t")})
+        for raw in ("{nope", tagged.replace('"t"', "NaN"),
+                    tagged.replace('"t"', "Infinity")):
+            status, body = call(server, "POST", "/v1/map", raw=raw)
+            assert status == 400, raw
+            assert body["error"]["type"] == "ProtocolError"
+            assert "invalid JSON body" in body["error"]["message"]
 
     @pytest.mark.parametrize("length", ["abc", "12abc", "-5"])
     def test_malformed_content_length_400(self, server, length):
@@ -347,6 +354,21 @@ class TestWorkerUnit:
         (run_chip_pareto, {"pools": "false"}),
         (run_network_sweep, {"arrays": [["a", 2]]}),
         (run_network_sweep, {"arrays": [[512, 512.5]]}),
+        (run_chip_pareto, {"max_cells": "262144"}),
+        (run_network_sweep, {"layers": [dict(LAYER, ic=64.5)],
+                             "arrays": [512]}),
+        (run_network_sweep, {"layers": [dict(LAYER, ic=True)],
+                             "arrays": [512]}),
+        (run_network_sweep, {"layers": [dict(LAYER, ic=float("inf"))],
+                             "arrays": [512]}),
+        (run_network_sweep, {"layers": [dict(LAYER, stride=1.5)],
+                             "arrays": [512]}),
+        (run_network_sweep, {"arrays": [512], "deadline_ms": "5"}),
+        (run_network_sweep, {"arrays": [512], "deadline_ms": True}),
+        (run_network_sweep, {"arrays": [512],
+                             "deadline_ms": float("nan")}),
+        (run_network_sweep, {"arrays": [512],
+                             "deadline_ms": float("inf")}),
     ])
     def test_malformed_numeric_or_boolean_fields_are_400(self, run, extra):
         result = run(dict({"network": "resnet18"}, **extra))

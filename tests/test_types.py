@@ -76,8 +76,10 @@ class TestRequirePositiveInt:
             require_positive_int("x", True)
 
     def test_string_rejected(self):
-        with pytest.raises(ConfigurationError):
-            require_positive_int("x", "three")
+        # Numeric strings too: nothing on the wire is coerced.
+        for text in ("three", "7", b"7"):
+            with pytest.raises(ConfigurationError):
+                require_positive_int("x", text)
 
     def test_nan_rejected(self):
         with pytest.raises(ConfigurationError):
