@@ -613,13 +613,13 @@ class MappingEngine:
 
         The lattice precomputes the min-max greedy's budget-independent
         state (per-stage latency staircases merged into consideration
-        order) from the engine's per-layer solutions, so chip-level
-        probes — :meth:`chip_sweep` grids, :meth:`chip_pareto`
-        frontiers — replay it instead of re-running the ``heapq``
-        greedy, and ``smallest_chip`` sizes a chip from it in closed
-        form.  *array* is one :class:`~repro.core.array.PIMArray` for
-        a homogeneous chip or a per-layer sequence for a heterogeneous
-        pool plan (:mod:`repro.chip.pools`).  With *cost_params*
+        order) from the engine's per-layer solutions, so
+        :meth:`chip_sweep` grids replay it instead of re-running the
+        ``heapq`` greedy, while :meth:`chip_pareto` frontiers and
+        ``smallest_chip`` read it in closed form.  *array* is one
+        :class:`~repro.core.array.PIMArray` for a homogeneous chip or a
+        per-layer sequence for a heterogeneous pool plan
+        (:mod:`repro.chip.pools`).  With *cost_params*
         (:class:`~repro.core.cost.CostParams`) every stage is priced
         once and sweeps also report energy/area.  Keyed by the
         per-layer ``(geometry, array, repeats)`` sequence, the cost

@@ -32,7 +32,12 @@ probe's budget/replica state advanced as NumPy vectors
 (:meth:`ChipLattice.outcome` is a one-probe sweep).  The inverse
 question — the fewest arrays meeting a bottleneck target ``T`` — needs
 no replay at all: :meth:`ChipLattice.min_arrays` answers it in closed
-form, ``B(T) = sum_s ceil(n_pw_s / T) * step_s``.
+form, ``B(T) = sum_s ceil(n_pw_s / T) * step_s``.  Neither does the
+Pareto frontier: at every breakpoint budget ``B(L)`` the greedy holds
+exactly ``ceil(n_pw_s / L)`` replicas of each stage, so
+:meth:`ChipLattice.frontier_sweep` reads the frontier's replica rows
+straight off that matrix and prices them with the same outcome
+arithmetic :meth:`~ChipLattice.sweep` uses.
 
 >>> from repro.core import PIMArray
 >>> from repro.networks import resnet18
@@ -44,6 +49,9 @@ form, ``B(T) = sum_s ceil(n_pw_s / T) * step_s``.
 [243, 81, 18]
 >>> lat.min_arrays(81)                     # fewest arrays meeting 81
 64
+>>> front = lat.frontier_sweep(64)         # breakpoints, no replay
+>>> front.num_arrays[-3:].tolist(), front.bottleneck_cycles[-3:].tolist()
+([58, 59, 64], [90, 85, 81])
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ import numpy as np
 from ..core.cache import frozen_arrays
 from ..core.cost import CostParams, cost_report
 from ..core.lattice import INFEASIBLE
-from ..core.types import ceil_div
+from ..core.types import ConfigurationError, ceil_div
 from ..search.result import MappingSolution
 from .allocation import residency_arrays
 
@@ -223,13 +231,14 @@ class ChipLattice:
     Build with :meth:`for_solutions` (per-layer mappings in network
     order, e.g. from :meth:`repro.api.MappingEngine.solve`) or
     :meth:`for_network`; evaluate with :meth:`sweep` (a whole probe
-    vector, one pass) or :meth:`outcome` (one array count), and size
-    a chip for a bottleneck target with :meth:`min_arrays`.
+    vector, one pass) or :meth:`outcome` (one array count), size a
+    chip for a bottleneck target with :meth:`min_arrays`, and price
+    the Pareto breakpoints with :meth:`frontier_sweep`.
 
     The precomputed state is the merged upgrade-group sequence
     described in the module docstring: ``group_stage`` /
-    ``group_cost`` / ``group_count`` are aligned ``(G,)`` vectors in
-    greedy consideration order.
+    ``group_cost`` / ``group_count`` / ``group_latency`` are aligned
+    ``(G,)`` vectors in greedy consideration order.
     """
 
     #: The per-layer solutions the stages were derived from, in order.
@@ -244,6 +253,9 @@ class ChipLattice:
     group_stage: np.ndarray
     group_cost: np.ndarray
     group_count: np.ndarray
+    #: The staircase latency ``ceil(n_pw / k)`` each group's upgrades
+    #: are considered at: ``(G,)``, non-increasing.
+    group_latency: np.ndarray
     #: Crossbar cells of each stage's own array geometry: ``(S,)``
     #: int64.  Heterogeneous pools feed mixed-geometry solutions, so
     #: area accounting must be per stage, not per chip.
@@ -324,16 +336,17 @@ class ChipLattice:
         # has one run per latency, so the order is total).
         order = np.lexsort((stage_v, -lat_v))
         stage_v, cost_v = stage_v[order], cost_v[order]
-        count_v = count_v[order]
+        count_v, lat_v = count_v[order], lat_v[order]
         # Instances are shared via the engine memo: freeze every vector.
         vectors = [n_pw, tiles, repeats, step, cells,
-                   stage_v, cost_v, count_v]
+                   stage_v, cost_v, count_v, lat_v]
         if stage_energy is not None:
             vectors.append(stage_energy)
         frozen_arrays(vectors)
         return cls(solutions=solutions, n_pw=n_pw, tiles=tiles,
                    repeats=repeats, step=step, group_stage=stage_v,
-                   group_cost=cost_v, group_count=count_v, cells=cells,
+                   group_cost=cost_v, group_count=count_v,
+                   group_latency=lat_v, cells=cells,
                    cost_params=cost_params, stage_energy_nj=stage_energy)
 
     @classmethod
@@ -443,7 +456,7 @@ class ChipLattice:
         """
         counts = np.asarray(list(counts), dtype=np.int64)
         if deadline is None and counts.size <= self.SWEEP_CHUNK:
-            return self._sweep_block(counts)
+            return self._outcomes(counts, self.replicas_for(counts))
         blocks: List[ChipSweep] = []
         for start in range(0, counts.size, self.SWEEP_CHUNK):
             if deadline is not None:
@@ -452,15 +465,21 @@ class ChipLattice:
                              "sweep": (_concat_sweeps(blocks)
                                        if blocks else None)},
                     where="ChipLattice.sweep")
-            blocks.append(self._sweep_block(
-                counts[start:start + self.SWEEP_CHUNK]))
+            block = counts[start:start + self.SWEEP_CHUNK]
+            blocks.append(self._outcomes(block, self.replicas_for(block)))
         if len(blocks) == 1:
             return blocks[0]
         return _concat_sweeps(blocks)
 
-    def _sweep_block(self, counts: np.ndarray) -> ChipSweep:
-        """One chunk of :meth:`sweep` (the whole grid, usually)."""
-        replicas = self.replicas_for(counts)
+    def _outcomes(self, counts: np.ndarray,
+                  replicas: np.ndarray) -> ChipSweep:
+        """Price ``(A, S)`` per-stage *replicas* held at budgets *counts*.
+
+        The one copy of the latency / fill / arrays / cells / energy
+        arithmetic, shared by :meth:`sweep` (replicas replayed by
+        :meth:`replicas_for`) and :meth:`frontier_sweep` (replicas read
+        off the closed form).
+        """
         scratch = np.empty(replicas.shape, dtype=np.int64)
         latency = np.empty(replicas.shape, dtype=np.int64)
         np.floor_divide(np.negative(self.n_pw[None, :]), replicas,
@@ -537,7 +556,8 @@ class ChipLattice:
         covers them exactly.  So ``B(T)`` is the smallest count whose
         plan meets ``T`` (the residency floor once ``T`` reaches every
         stage's ``n_pw``).  Takes one target ``>= 1`` or an ``(L,)``
-        int vector of them.
+        int vector of them; a target below 1 raises
+        :class:`~repro.core.types.ConfigurationError`.
 
         >>> from repro.core import PIMArray
         >>> from repro.networks import resnet18
@@ -549,39 +569,76 @@ class ChipLattice:
         True
         """
         targets = np.asarray(bottleneck, dtype=np.int64)
+        if (targets < 1).any():
+            raise ConfigurationError(
+                f"bottleneck targets must be >= 1, got "
+                f"{int(targets.min())}")
         needed = -(-self.n_pw // targets[..., None])
         budgets = (needed * self.step).sum(axis=-1)
         return int(budgets) if budgets.ndim == 0 else budgets
 
     # ------------------------------------------------------------------
-    # Frontier budgets (chip_pareto support)
+    # Frontier breakpoints (chip_pareto support)
     # ------------------------------------------------------------------
     def frontier_latencies(self) -> np.ndarray:
         """Every per-stage latency value any budget can realise, sorted.
 
         The union over stages of ``ceil(n_pw / k)`` for ``k = 1..n_pw``
         (the staircase levels plus the fully-replicated latency 1) —
-        ``O(stages x sqrt(n_pw))`` values.  Every achievable pipeline
-        bottleneck is one of these, since the bottleneck is a maximum
-        of per-stage staircase levels.
+        ``O(stages x sqrt(n_pw))`` values, read off
+        :attr:`group_latency`.  Every achievable pipeline bottleneck is
+        one of these, since the bottleneck is a maximum of per-stage
+        staircase levels.
         """
-        values = {1}
-        for positions in self.n_pw.tolist():
-            for latency, _ in _stage_staircase(positions):
-                values.add(latency)
-        return np.asarray(sorted(values), dtype=np.int64)
+        return np.unique(np.append(self.group_latency, 1))
+
+    def frontier_sweep(self, max_arrays: Optional[int] = None
+                       ) -> ChipSweep:
+        """Greedy outcomes at every Pareto breakpoint budget, no replay.
+
+        Equal to ``sweep(frontier_counts(max_arrays))`` field for field,
+        but the replicas are read off the closed form: meeting a
+        candidate bottleneck ``L`` (:meth:`frontier_latencies`) takes
+        ``needed = ceil(n_pw / L)`` replicas per stage, and at the
+        :meth:`min_arrays` budget ``B(L) = sum(needed * step)`` the
+        greedy holds exactly those.  Equal budgets have equal rows
+        (``needed`` is monotone in ``L`` and every step is positive),
+        so deduplicating budgets keeps one row each.  Rows come back
+        sorted by budget ascending — bottlenecks strictly descending —
+        capped at *max_arrays* when given (possibly empty, when even
+        the residency floor exceeds it).
+
+        >>> from repro.core import PIMArray
+        >>> from repro.networks import resnet18
+        >>> lat = ChipLattice.for_network(resnet18(), PIMArray.square(512))
+        >>> front = lat.frontier_sweep()
+        >>> int(front.num_arrays[0]) == lat.floor_arrays
+        True
+        >>> int(front.bottleneck_cycles[-1])
+        1
+        >>> bool((front.arrays_used == front.num_arrays).all())
+        True
+        """
+        needed = -(-self.n_pw // self.frontier_latencies()[:, None])
+        budgets, first = np.unique((needed * self.step).sum(axis=1),
+                                   return_index=True)
+        if max_arrays is not None:
+            within = budgets <= max_arrays   # a prefix: budgets ascend
+            budgets, first = budgets[within], first[within]
+        return self._outcomes(budgets, needed[first])
 
     def frontier_counts(self, max_arrays: Optional[int] = None
                         ) -> np.ndarray:
         """The canonical budget grid behind the chip Pareto frontier.
 
         The :meth:`min_arrays` budget ``B(L)`` of every candidate
-        bottleneck ``L`` in :meth:`frontier_latencies`.  Sweeping these
-        budgets visits every non-dominated ``(arrays, cells,
-        bottleneck)`` point any budget could produce — independent of
-        stage order or repeat grouping.  Returned sorted ascending,
-        deduplicated, capped at *max_arrays* when given (possibly
-        empty, when even the residency floor exceeds it).
+        bottleneck ``L`` in :meth:`frontier_latencies` — the probes of
+        :meth:`frontier_sweep`.  Sweeping these budgets visits every
+        non-dominated ``(arrays, cells, bottleneck)`` point any budget
+        could produce — independent of stage order or repeat grouping.
+        Returned sorted ascending, deduplicated, capped at *max_arrays*
+        when given (possibly empty, when even the residency floor
+        exceeds it).
 
         >>> from repro.core import PIMArray
         >>> from repro.networks import resnet18
@@ -592,10 +649,7 @@ class ChipLattice:
         >>> int(lat.sweep(counts).bottleneck_cycles[-1])
         1
         """
-        budgets = np.unique(self.min_arrays(self.frontier_latencies()))
-        if max_arrays is not None:
-            budgets = budgets[budgets <= max_arrays]
-        return budgets
+        return self.frontier_sweep(max_arrays).num_arrays
 
 
 def chip_lattice(solutions: Sequence[MappingSolution]) -> ChipLattice:

@@ -362,11 +362,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
     try:
         sides = ([int(s) for s in args.sides.split(",") if s.strip()]
                  if args.sides else None)
-        if sides is not None and (not sides or min(sides) < 1):
-            raise ValueError("sides must be positive integers")
-        if args.max_cells < 1:
-            raise ValueError(f"--max-cells must be >= 1, "
-                             f"got {args.max_cells}")
     except ValueError as error:
         raise SystemExit(f"dse sweep: {error}") from None
     from .core import ConfigurationError
@@ -459,11 +454,6 @@ def _cmd_chip_pareto(args: argparse.Namespace) -> int:
     try:
         sides = ([int(s) for s in args.sides.split(",") if s.strip()]
                  if args.sides else None)
-        if sides is not None and (not sides or min(sides) < 1):
-            raise ValueError("sides must be positive integers")
-        if args.max_cells < 1:
-            raise ValueError(f"--max-cells must be >= 1, "
-                             f"got {args.max_cells}")
     except ValueError as error:
         raise SystemExit(f"chip pareto: {error}") from None
     from .core import ConfigurationError

@@ -38,10 +38,12 @@ lattice call — candidate count only widens the vectorized sweep.
 the paper's energy axis (Section II: AD conversion dominates PIM
 energy, so fewer cycles mean less energy): candidate deployment plans
 — homogeneous geometries and, with ``pools=True``, the heterogeneous
-best-fit assignment from :mod:`repro.chip.pools` — are each priced by
-one memoized :class:`~repro.chip.sweep.ChipLattice` replayed over its
-closed-form breakpoint budgets, and the 3-D minimising front of
-``(cells, energy, bottleneck)`` is extracted from the union.
+best-fit assignment from :mod:`repro.chip.pools` — are each priced at
+the closed-form breakpoint budgets of one memoized
+:class:`~repro.chip.sweep.ChipLattice` (replicas read off
+``ceil(n_pw / L)``, no greedy replay), and one skyline prune over the
+union's stacked ``(cells, energy, bottleneck)`` rows extracts the 3-D
+minimising front before any point object is built.
 """
 
 from __future__ import annotations
@@ -132,7 +134,8 @@ def array_candidates(max_cells: int, *,
     squares.  ``square_only=True`` restricts to the diagonal (the
     pre-non-square behaviour, kept for A/B comparisons).  Candidates
     come back sorted by ``(cells, rows)`` so equal-cost shapes stay
-    adjacent in reports.  Every side must be a positive integer, or
+    adjacent in reports.  *max_cells* and every side must be positive
+    integers and a given *sides* must be non-empty, or
     :class:`~repro.core.types.ConfigurationError` is raised.
 
     >>> [str(a) for a in array_candidates(128 * 128, sides=(64, 128, 256))]
@@ -141,10 +144,11 @@ def array_candidates(max_cells: int, *,
     ...                                   square_only=True)]
     ['64x64', '128x128']
     """
-    if max_cells < 1:
-        raise ValueError(f"max_cells must be >= 1, got {max_cells}")
+    max_cells = require_positive_int("max_cells", max_cells)
     ladder = (tuple(require_positive_int("sides", s) for s in sides)
               if sides is not None else DEFAULT_SIDES)
+    if not ladder:
+        raise ConfigurationError("sides must name at least one side length")
     if square_only:
         chosen = [PIMArray.square(s) for s in ladder if s * s <= max_cells]
     else:
@@ -290,6 +294,10 @@ class ChipDesignPoint:
 #: a profiler can wrap it.
 _non_dominated = skyline
 
+#: The :class:`~repro.chip.sweep.ChipSweep` vectors a chip front reads.
+_FRONT_COLUMNS = ("num_arrays", "cells_used", "energy_nj",
+                  "bottleneck_cycles", "latency_us")
+
 
 def chip_pareto(network: Network,
                 geometries: Optional[Sequence[PIMArray]] = None,
@@ -307,14 +315,18 @@ def chip_pareto(network: Network,
 
     Couples the batched chip planner with the cost model: every
     candidate plan (one homogeneous plan per usable geometry, plus the
-    heterogeneous best-fit plan when ``pools=True``) is priced by one
-    memoized :class:`~repro.chip.sweep.ChipLattice` replayed over its
-    closed-form breakpoint budgets
-    (:meth:`~repro.chip.sweep.ChipLattice.frontier_counts`), and the
-    3-D minimising front of ``(cells, energy_nj, bottleneck_cycles)``
-    is extracted from the union.  Since the union always contains the
-    homogeneous plans, the ``pools=True`` frontier dominates-or-equals
-    the homogeneous one point for point.
+    heterogeneous best-fit plan when ``pools=True``) is priced once at
+    the closed-form breakpoint budgets of its memoized
+    :class:`~repro.chip.sweep.ChipLattice`
+    (:meth:`~repro.chip.sweep.ChipLattice.frontier_sweep`: at each
+    budget the greedy holds exactly ``ceil(n_pw / L)`` replicas per
+    stage, so no greedy is replayed).  The union's ``(cells,
+    energy_nj, bottleneck_cycles)`` rows, plans in order and budgets
+    ascending, go through one skyline prune, and
+    :class:`ChipDesignPoint` objects are built only for the rows it
+    keeps.  Since the union always contains the homogeneous plans, the
+    ``pools=True`` frontier dominates-or-equals the homogeneous one
+    point for point.
 
     When *geometries* is ``None`` the square ladder under *max_cells*
     is used (:func:`array_candidates` with ``square_only=True``); pass
@@ -324,7 +336,9 @@ def chip_pareto(network: Network,
     when no candidate point survives either bound, the typed
     :class:`~repro.dse.requirements.InfeasibleTargetError` is raised
     with the best achievable bottleneck attached (``None`` when even
-    the residency floors exceed *max_arrays*).
+    the residency floors exceed *max_arrays*).  Either bound that is
+    not a positive integer raises
+    :class:`~repro.core.types.ConfigurationError`.
 
     Points come back sorted by cells ascending, bottleneck descending —
     along a (homogeneous) frontier every extra cell buys strictly
@@ -357,10 +371,11 @@ def chip_pareto(network: Network,
     {1.0}
     """
     from .requirements import InfeasibleTargetError
-    if target_bottleneck is not None and target_bottleneck < 1:
-        raise ConfigurationError("target_bottleneck must be >= 1")
-    if max_arrays is not None and max_arrays < 1:
-        raise ConfigurationError("max_arrays must be >= 1")
+    if target_bottleneck is not None:
+        target_bottleneck = require_positive_int("target_bottleneck",
+                                                 target_bottleneck)
+    if max_arrays is not None:
+        max_arrays = require_positive_int("max_arrays", max_arrays)
     eng = engine if engine is not None else default_engine()
     params = cost_params if cost_params is not None else DEFAULT_COST_PARAMS
     if geometries is None:
@@ -370,48 +385,47 @@ def chip_pareto(network: Network,
                        engine=eng, cost_params=params)
     label = getattr(network, "name", None) or "network"
 
-    points: List[ChipDesignPoint] = []
-    best_bottleneck: Optional[int] = None
+    plan_keys: List[Tuple[str, Tuple[MappingSolution, ...]]] = []
+    sweeps = []
     for plan in plans:
         lattice = eng.chip_lattice(layers, plan.arrays, scheme,
                                    cost_params=params)
-        counts = lattice.frontier_counts(max_arrays)
-        if counts.size == 0:
-            continue  # even the residency floor exceeds max_arrays
-        sweep = lattice.sweep(counts)
-        previous = None
-        for index in range(len(sweep)):
-            point = sweep.outcome(index)
-            if best_bottleneck is None or \
-                    point.bottleneck_cycles < best_bottleneck:
-                best_bottleneck = point.bottleneck_cycles
-            if point.bottleneck_cycles == previous:
-                continue  # same bottleneck at a bigger budget: dominated
-            previous = point.bottleneck_cycles
-            if target_bottleneck is not None and \
-                    point.bottleneck_cycles > target_bottleneck:
-                continue
-            points.append(ChipDesignPoint(
-                pool=plan.label,
-                num_arrays=point.num_arrays,
-                cells=point.cells_used,
-                energy_nj=point.energy_nj,
-                bottleneck_cycles=point.bottleneck_cycles,
-                latency_us=point.latency_us,
-                solutions=lattice.solutions))
-    if not points:
-        if best_bottleneck is None:
-            raise InfeasibleTargetError(
-                f"no pool plan of {label} fits within "
-                f"max_arrays={max_arrays} (or no geometry maps every "
-                f"layer with {scheme})", best=None)
+        sweep = lattice.frontier_sweep(max_arrays)
+        if len(sweep):  # else even the residency floor exceeds max_arrays
+            plan_keys.append((plan.label, lattice.solutions))
+            sweeps.append(sweep)
+    if not sweeps:
         raise InfeasibleTargetError(
-            f"{label} bottlenecks at {best_bottleneck} cycles within "
-            f"max_arrays={max_arrays}; target {target_bottleneck} is "
-            f"out of reach", best=best_bottleneck)
+            f"no pool plan of {label} fits within "
+            f"max_arrays={max_arrays} (or no geometry maps every "
+            f"layer with {scheme})", best=None)
 
-    values = np.asarray([p.objectives for p in points], dtype=np.float64)
-    front = [points[k] for k in _non_dominated(values).tolist()]
+    # One candidate row per breakpoint, plans in order, budgets
+    # ascending; objects are built only for the rows the prune keeps.
+    plan_of = np.repeat(np.arange(len(sweeps)),
+                        [len(sweep) for sweep in sweeps])
+    num_arrays, cells, energy, bottleneck, latency = (
+        np.concatenate([getattr(sweep, name) for sweep in sweeps])
+        for name in _FRONT_COLUMNS)
+    if target_bottleneck is not None:
+        meets = bottleneck <= target_bottleneck
+        if not meets.any():
+            best = int(bottleneck.min())
+            raise InfeasibleTargetError(
+                f"{label} bottlenecks at {best} cycles within "
+                f"max_arrays={max_arrays}; target {target_bottleneck} is "
+                f"out of reach", best=best)
+        plan_of, num_arrays, cells, energy, bottleneck, latency = (
+            column[meets] for column in (plan_of, num_arrays, cells,
+                                         energy, bottleneck, latency))
+    kept = _non_dominated(np.column_stack((cells, energy, bottleneck)))
+    front = [ChipDesignPoint(pool=plan_keys[p][0], num_arrays=n, cells=c,
+                             energy_nj=e, bottleneck_cycles=b,
+                             latency_us=u, solutions=plan_keys[p][1])
+             for p, n, c, e, b, u in zip(*(
+                 column[kept].tolist() for column in (
+                     plan_of, num_arrays, cells, energy, bottleneck,
+                     latency)))]
     front.sort(key=lambda p: (p.cells, -p.bottleneck_cycles, p.energy_nj))
     if fidelity is not None and fidelity is not False:
         from ..pim.replay import FidelitySpec

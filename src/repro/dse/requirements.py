@@ -35,7 +35,8 @@ from typing import Optional
 from ..api.engine import MappingEngine, default_engine
 from ..chip.config import ChipConfig
 from ..core.array import PIMArray
-from ..core.types import ConfigurationError, ReproError
+from ..core.types import (ConfigurationError, ReproError,
+                          require_positive_int)
 from ..networks.layerset import Network
 
 __all__ = ["InfeasibleTargetError", "smallest_square_array",
@@ -148,7 +149,9 @@ def smallest_chip(network: Network, array: PIMArray,
     :class:`InfeasibleTargetError` when ``B(T)`` exceeds
     ``max_arrays``: its ``best`` is the bottleneck ``max_arrays``
     crossbars reach, or ``None`` when they cannot even hold the
-    weights resident.
+    weights resident.  A *target_bottleneck* or *max_arrays* that is not
+    a positive integer raises
+    :class:`~repro.core.types.ConfigurationError`.
 
     >>> from repro.networks import resnet18
     >>> chip = smallest_chip(resnet18(), PIMArray.square(512), 200,
@@ -156,8 +159,9 @@ def smallest_chip(network: Network, array: PIMArray,
     >>> chip.num_arrays
     36
     """
-    if target_bottleneck < 1:
-        raise ConfigurationError("target_bottleneck must be >= 1")
+    target_bottleneck = require_positive_int("target_bottleneck",
+                                             target_bottleneck)
+    max_arrays = require_positive_int("max_arrays", max_arrays)
     eng = engine if engine is not None else default_engine()
     lattice = eng.chip_lattice(network, array, scheme)
 

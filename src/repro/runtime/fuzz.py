@@ -21,7 +21,9 @@ Built-in surfaces:
 * ``chip_sweep`` — batched :class:`~repro.chip.sweep.ChipLattice`
   probes vs the scalar ``heapq`` greedy of
   :func:`~repro.chip.pipeline.plan_pipeline`, including the
-  infeasible-budget boundary and the cost-model columns;
+  infeasible-budget boundary and the cost-model columns, plus the
+  closed-form ``frontier_sweep`` vs the batched replay at the same
+  breakpoint budgets and vs the greedy at up to three of them;
 * ``chip_pareto`` — frontier invariants (sort order, pairwise
   non-domination, pools dominance) plus per-point scalar replay of
   bottleneck / cells / energy / latency under randomized
@@ -51,11 +53,13 @@ import random
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from difflib import get_close_matches
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
+
+import numpy as np
 
 from ..api.engine import MappingEngine
 from ..api.request import MappingRequest
@@ -470,8 +474,9 @@ def _chip_sweep_surface(rng: random.Random,
                                   cost_params=params)
     network = Network.from_layers("fuzz", layers)
     floor = lattice.floor_arrays
-    counts = sorted({floor, floor + 1, floor + rng.randint(0, 64),
-                     floor * 2} | ({floor - 1} if floor > 1 else set()))
+    spare = floor + rng.randint(0, 64)
+    counts = sorted({floor, floor + 1, spare, floor * 2}
+                    | ({floor - 1} if floor > 1 else set()))
     sweep = lattice.sweep(counts)
     for index, count in enumerate(counts):
         probe = sweep.outcome(index)
@@ -496,7 +501,39 @@ def _chip_sweep_surface(rng: random.Random,
             if got != want:
                 return (f"costed sweep probe at {count} {got} != scalar "
                         f"cost_report oracle {want} for [{case}]")
+
+    # The closed-form frontier: the replay at its own budgets, field
+    # for field, and the heapq greedy at up to three breakpoints.
+    cap = spare if rng.random() < 0.5 else None
+    frontier = lattice.frontier_sweep(cap)
+    replay = lattice.sweep(lattice.frontier_counts(cap))
+    for name in [f.name for f in fields(frontier)]:
+        if not _same_vector(getattr(frontier, name), getattr(replay, name)):
+            return (f"frontier_sweep({cap}).{name} != sweep at "
+                    f"frontier_counts({cap}) for [{case}]")
+    for index in rng.sample(range(len(frontier)), min(3, len(frontier))):
+        count = int(frontier.num_arrays[index])
+        plan = plan_pipeline(network, ChipConfig(array, count), scheme,
+                             solutions=solutions)
+        greedy = (plan.bottleneck_cycles, plan.fill_latency_cycles,
+                  plan.arrays_used, _cells_oracle(plan))
+        closed = (int(frontier.bottleneck_cycles[index]),
+                  int(frontier.fill_latency_cycles[index]),
+                  int(frontier.arrays_used[index]),
+                  int(frontier.cells_used[index]))
+        if closed != greedy:
+            return (f"frontier_sweep breakpoint {count} {closed} != "
+                    f"greedy {greedy} for [{case}]")
     return None
+
+
+def _same_vector(got: Optional[np.ndarray],
+                 want: Optional[np.ndarray]) -> bool:
+    """Both ``None``, or equal dtype, shape and bytes (NaNs included)."""
+    if got is None or want is None:
+        return got is want
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
 
 
 def _cells_oracle(plan: "object") -> int:
@@ -508,7 +545,6 @@ def _cells_oracle(plan: "object") -> int:
 def _cost_oracle(solutions: Sequence["object"], params: "object",
                  bottleneck: int) -> Tuple[float, float]:
     """(energy_nj, latency_us) exactly as the lattice computes them."""
-    import numpy as np
     from ..core.cost import cost_report
     stage = np.asarray([cost_report(s, params).compute_energy_nj
                         for s in solutions], dtype=np.float64)

@@ -1,5 +1,6 @@
 """Unit tests for chip-level allocation and pipelining."""
 
+import numpy as np
 import pytest
 
 from repro import ChipConfig, ConvLayer, CostParams, PIMArray, cost_report
@@ -11,6 +12,8 @@ from repro.chip import (
     plan_pipeline,
     residency_arrays,
 )
+from repro.chip.sweep import _stage_staircase
+from repro.core import ConfigurationError
 from repro.networks import resnet18, vgg13
 from repro.search import solve
 
@@ -305,6 +308,25 @@ class TestCostedChipLattice:
         capped = lattice.frontier_counts(max_arrays=100)
         assert (capped <= 100).all()
         assert lattice.frontier_counts(max_arrays=1).size == 0
+
+    def test_frontier_latencies_are_the_staircase_levels(self, lattice):
+        # The per-call staircase enumeration the stored group
+        # latencies replaced, kept as the oracle.
+        from repro.api import MappingEngine
+        mixed = MappingEngine().chip_lattice(
+            vgg13(), [PIMArray(128, 256) if i % 2 else ARRAY
+                      for i in range(len(vgg13()))])
+        for lat in (lattice, mixed):
+            levels = {1}
+            for positions in lat.n_pw.tolist():
+                levels.update(level for level, _ in
+                              _stage_staircase(positions))
+            assert lat.frontier_latencies().tolist() == sorted(levels)
+
+    def test_min_arrays_rejects_targets_below_one(self, lattice):
+        for target in (0, -1, np.array([5, 0]), np.array([-3, 2])):
+            with pytest.raises(ConfigurationError, match=">= 1"):
+                lattice.min_arrays(target)
 
 
 class TestEngineChipLattice:

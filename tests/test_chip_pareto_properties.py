@@ -182,7 +182,9 @@ def test_malformed_bounds_raise_configuration_error():
 
     network = Network.from_layers(
         "tiny", [ConvLayer.square(8, 3, 8, 8)])
-    with pytest.raises(ConfigurationError):
-        chip_pareto(network, [PIMArray.square(64)], target_bottleneck=0)
-    with pytest.raises(ConfigurationError):
-        chip_pareto(network, [PIMArray.square(64)], max_arrays=0)
+    for bad in (0, True, 2.5):
+        with pytest.raises(ConfigurationError):
+            chip_pareto(network, [PIMArray.square(64)],
+                        target_bottleneck=bad)
+        with pytest.raises(ConfigurationError):
+            chip_pareto(network, [PIMArray.square(64)], max_arrays=bad)

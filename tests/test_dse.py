@@ -98,6 +98,15 @@ class TestSmallestChip:
                           max_arrays=2)
         assert info.value.best is None
 
+    def test_malformed_bounds_raise_configuration_error(self):
+        # A bool or a fractional bound is no array count or cycle target.
+        for bad in (0, True, 2.5):
+            with pytest.raises(ConfigurationError):
+                smallest_chip(resnet18(), PIMArray.square(512), bad)
+            with pytest.raises(ConfigurationError):
+                smallest_chip(resnet18(), PIMArray.square(512), 200,
+                              max_arrays=bad)
+
 
 class TestPareto:
     def test_front_basics(self):
@@ -179,6 +188,13 @@ class TestPareto:
     def test_array_candidates_rejects_empty_budget(self):
         with pytest.raises(ValueError):
             array_candidates(0)
+
+    def test_array_candidates_rejects_malformed_inputs(self):
+        for bad in (0, True, 2.5):
+            with pytest.raises(ConfigurationError, match="max_cells"):
+                array_candidates(bad)
+        with pytest.raises(ConfigurationError, match="at least one side"):
+            array_candidates(128 * 128, sides=[])
 
     def test_generated_non_square_frontier_dominates_square(self):
         # The ISSUE acceptance criterion: on the README network the

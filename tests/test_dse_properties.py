@@ -11,20 +11,23 @@ staircases; the equivalence properties here pin it **bit-identical**
 to the per-probe ``heapq`` greedy — bottleneck, fill latency and
 arrays used — over random networks (repeats included), schemes, array
 shapes and probe grids, through its one replay, ``sweep`` (which
-``outcome`` wraps).  ``smallest_chip`` sizes a chip in closed form;
-its property bisects the ``heapq`` greedy itself (licensed by the
-monotonicity above) and must land on the same count.
+``outcome`` wraps).  ``frontier_sweep`` reads the Pareto breakpoints
+off the closed form instead and must equal that replay at the same
+budgets, field for field.  ``smallest_chip`` sizes a chip in closed
+form; its property bisects the ``heapq`` greedy itself (licensed by
+the monotonicity above) and must land on the same count.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chip import ChipConfig, ChipLattice, plan_pipeline
 from repro.chip.pipeline import InsufficientArraysError
-from repro.core import ConvLayer, PIMArray
+from repro.core import ConvLayer, CostParams, PIMArray
 from repro.dse import InfeasibleTargetError, network_cycles, smallest_chip
 from repro.networks import Network
 from repro.search import solve
@@ -138,6 +141,35 @@ def test_chip_lattice_bit_identical_to_greedy(network, array, counts,
             else:
                 assert (got.bottleneck_cycles, got.fill_latency_cycles,
                         got.arrays_used) == reference
+
+
+#: ``frontier_sweep`` caps: none, just below the residency floor (an
+#: empty frontier), or a random budget.
+frontier_caps = st.one_of(st.none(), st.just("below floor"),
+                          st.integers(min_value=1, max_value=1 << 14))
+
+
+@given(repeated_networks, arrays, frontier_caps, st.sampled_from(SCHEMES),
+       st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_frontier_sweep_equals_replay_at_frontier_counts(
+        network, array, cap, scheme, costed):
+    lattice = ChipLattice.for_network(
+        network, array, scheme,
+        cost_params=CostParams() if costed else None)
+    if cap == "below floor":
+        cap = lattice.floor_arrays - 1
+    closed = lattice.frontier_sweep(cap)
+    replay = lattice.sweep(lattice.frontier_counts(cap))
+    for name in [f.name for f in dataclasses.fields(replay)]:
+        got, want = getattr(closed, name), getattr(replay, name)
+        if want is None:
+            assert got is None, name
+            continue
+        assert got.dtype == want.dtype, name
+        assert got.tolist() == want.tolist(), name
+    # Each breakpoint buys a strictly smaller bottleneck.
+    assert (np.diff(closed.bottleneck_cycles) < 0).all()
 
 
 @given(repeated_networks, arrays, st.integers(min_value=1, max_value=512),

@@ -5,7 +5,8 @@ Every Pareto front in the repo — window fronts, ``array_pareto``,
 :func:`repro.core.skyline.skyline`.  These tests pin it to the generic
 O(n^2) :func:`repro.dse.pareto.pareto_front` on rows built to collide
 (small value pools, so exact duplicates and ties on single objectives
-are the norm), bound its memory at chip-frontier scale, and check that
+are the norm), bound its memory at chip-frontier scale (alone and
+inside a 15,300-row ``chip_pareto`` call), and check that
 ``chip_pareto`` still resolves its prune through the module attribute
 profilers wrap.
 """
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core import PIMArray
 from repro.core.skyline import skyline
 from repro.dse import pareto
-from repro.dse.pareto import chip_pareto, pareto_front
+from repro.dse.pareto import array_candidates, chip_pareto, pareto_front
 from repro.networks import resnet18
 
 
@@ -86,3 +87,27 @@ def test_chip_pareto_prunes_through_the_module_attribute(monkeypatch):
     monkeypatch.setattr(pareto, "_non_dominated", counted)
     front = chip_pareto(resnet18(), [PIMArray.square(512)])
     assert len(seen) == 1 and seen[0] >= len(front) > 0
+
+
+def test_chip_pareto_peak_memory_at_frontier_scale(monkeypatch):
+    # A warm non-square pools front feeds the prune 15,300 candidate
+    # rows; building an object per row, or pruning pairwise (hundreds
+    # of MB), would show in the peak.
+    network, candidates = resnet18(), array_candidates(256 * 256)
+    chip_pareto(network, candidates, pools=True)   # warm the memos
+    seen = []
+    prune = pareto._non_dominated
+
+    def counted(values):
+        seen.append(len(values))
+        return prune(values)
+    monkeypatch.setattr(pareto, "_non_dominated", counted)
+    tracemalloc.start()
+    try:
+        front = chip_pareto(network, candidates, pools=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == [15_300]
+    assert len(front) == 1_669
+    assert peak < 8 * 2**20
