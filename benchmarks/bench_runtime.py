@@ -58,9 +58,8 @@ def full_batch() -> BatchRequest:
 
 
 def serial_engine(store=None):
-    """An uncached single-threaded engine: ``max_workers=1`` keeps the
-    comparison about store-vs-solver, not thread-pool spawn cost."""
-    return MappingEngine(cache_size=0, max_workers=1, store=store)
+    """An uncached engine, so the comparison is store-vs-solver."""
+    return MappingEngine(cache_size=0, store=store)
 
 
 def sweep_workload(engine: MappingEngine) -> np.ndarray:

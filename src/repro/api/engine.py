@@ -3,8 +3,8 @@
 :class:`MappingEngine` resolves :class:`~repro.api.request.MappingRequest`
 objects through a scheme registry, memoizes solutions in a bounded
 :class:`~repro.core.cache.LRUMemo` keyed by the scheme's registry
-version and the request's canonical hash, and executes batches on a
-thread pool.  :meth:`~MappingEngine.map` and
+version and the request's canonical hash, and resolves a batch's
+misses in order on the calling thread.  :meth:`~MappingEngine.map` and
 :meth:`~MappingEngine.map_batch` share one lookup order: one memo
 ``get`` per distinct key, and on a miss one path that tries the
 persistent store, then a coalesced solve.  Every entry point of the
@@ -121,9 +121,6 @@ class MappingEngine:
     cache_size:
         Maximum memoized solutions (LRU eviction).  ``0`` disables
         caching — useful for benchmarking the raw solver path.
-    max_workers:
-        Thread-pool width for :meth:`map_batch`.  ``None`` lets
-        ``concurrent.futures`` pick; ``1`` forces serial execution.
     backend:
         Compute backend for the batched-lattice paths: ``"auto"``
         (numba when installed, else numpy), ``"numpy"``, ``"numba"``,
@@ -162,7 +159,6 @@ class MappingEngine:
 
     def __init__(self, registry: Optional[SolverRegistry] = None,
                  cache_size: int = 4096,
-                 max_workers: Optional[int] = None,
                  backend: Union[str, Backend] = "auto", *,
                  store: Optional[SolutionStore] = None,
                  retry: Optional[RetryPolicy] = None,
@@ -171,11 +167,7 @@ class MappingEngine:
         if cache_size < 0:
             raise ConfigurationError(
                 f"cache_size must be >= 0, got {cache_size}")
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be >= 1 (or None), got {max_workers}")
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        self.max_workers = max_workers
         self._backend = get_backend(backend)
         self._breaker: Optional[CircuitBreaker] = None
         wrap = (self._backend.name != "numpy") if breaker is None \
@@ -391,16 +383,18 @@ class MappingEngine:
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def map_batch(self, requests: Requests,
-                  max_workers: Optional[int] = None) -> BatchResult:
-        """Resolve a batch concurrently; results preserve request order.
+    def map_batch(self, requests: Requests) -> BatchResult:
+        """Resolve a batch; results preserve request order.
 
         Each distinct key in the batch gets one memo ``get``; every key
         that missed goes through :meth:`_resolve_miss`, as in
-        :meth:`map`, on a thread pool.  Duplicates inside the batch are
-        therefore solved once and reuse their first occurrence's
-        answer, so the solver-invocation count equals the number of
-        *distinct uncached* problems, never the batch length.  (A
+        :meth:`map`, in batch order on the calling thread: the solves
+        hold the GIL, so a thread pool would only add its start-up
+        cost, and concurrent callers still share solves through
+        coalescing.  Duplicates inside the batch are therefore solved
+        once and reuse their first occurrence's answer, so the
+        solver-invocation count equals the number of *distinct
+        uncached* problems, never the batch length.  (A
         ``cache_size=0`` engine skips deduplication — every request
         runs its solver, which is the honest baseline for
         benchmarking.)  ``stats.hits`` / ``stats.misses`` on the
@@ -441,7 +435,8 @@ class MappingEngine:
                 misses[slot] = (key, request)
             else:
                 solutions[slot] = solution
-        resolved = self._resolve_many(misses, max_workers)
+        resolved = {slot: self._resolve_miss(request, key)
+                    for slot, (key, request) in misses.items()}
 
         responses: List[MappingResponse] = []
         for slot, request in zip(slots, batch):
@@ -462,22 +457,6 @@ class MappingEngine:
                               size=after["size"])
         return BatchResult(responses=tuple(responses), stats=stats,
                            elapsed_ms=elapsed_ms)
-
-    def _resolve_many(self,
-                      misses: Dict[object, Tuple[str, MappingRequest]],
-                      max_workers: Optional[int]
-                      ) -> Dict[object, MappingResponse]:
-        """:meth:`_resolve_miss` per slot's ``(key, request)``,
-        concurrently when it pays off."""
-        workers = max_workers if max_workers is not None else self.max_workers
-        if workers == 1 or len(misses) <= 1:
-            return {slot: self._resolve_miss(request, key)
-                    for slot, (key, request) in misses.items()}
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {slot: pool.submit(self._resolve_miss, request, key)
-                       for slot, (key, request) in misses.items()}
-            return {slot: future.result() for slot, future in futures.items()}
 
     @staticmethod
     def _rebind(solution: MappingSolution,

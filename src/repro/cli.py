@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8080,
                          help="bind port (default 8080; 0 = ephemeral)")
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="process-pool width for lattice work")
+                         help="worker processes for lattice work "
+                              "(one call at a time each)")
     p_serve.add_argument("--store", metavar="FILE", default=None,
                          help="shared SolutionStore every worker mounts "
                               "as its warm L2 (flock-guarded JSONL)")

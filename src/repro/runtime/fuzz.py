@@ -281,10 +281,10 @@ def _batch_mismatch(rng: random.Random, requests: Sequence[MappingRequest],
     :func:`_canonical` form).
 
     Every request cold ``map`` answers goes in twice, in shuffled
-    order, through a default engine; through two ``cache_size=2``
-    engines warmed with one of them, which forces mid-batch evictions,
-    run serially and on four threads; and through an engine on
-    *store*, which already holds every answer.  Each response must
+    order, through a default engine; through a ``cache_size=2``
+    engine warmed with one of them, which forces mid-batch evictions;
+    and through an engine on *store*, which already holds every
+    answer.  Each response must
     carry its cold solution, and on the default engine ``cached`` must
     be False exactly on the first occurrence of each key.
     """
@@ -298,15 +298,13 @@ def _batch_mismatch(rng: random.Random, requests: Sequence[MappingRequest],
     want = json.dumps([outcome for _, outcome in pairs], sort_keys=True,
                       separators=(",", ":"))
     warm = rng.choice(batch)
-    runs: List[Tuple[str, MappingEngine, Optional[int]]] = [
-        ("default", MappingEngine(), None),
-        ("store-backed", MappingEngine(store=store), None)]
-    for workers in (1, 4):
-        engine = MappingEngine(cache_size=2)
-        engine.map(warm)
-        runs.append((f"cache_size=2, max_workers={workers}", engine, workers))
-    for label, engine, workers in runs:
-        result = engine.map_batch(batch, max_workers=workers)
+    evicting = MappingEngine(cache_size=2)
+    evicting.map(warm)
+    runs = [("default", MappingEngine()),
+            ("store-backed", MappingEngine(store=store)),
+            ("cache_size=2", evicting)]
+    for label, engine in runs:
+        result = engine.map_batch(batch)
         got = json.dumps([solution_to_dict(r.solution) for r in result],
                          sort_keys=True, separators=(",", ":"))
         if got != want:

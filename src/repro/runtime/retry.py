@@ -114,9 +114,9 @@ class RetryPolicy:
         :class:`~repro.core.types.ConfigurationError`).  The last
         transient error is re-raised once attempts — or the deadline —
         are exhausted.  *on_retry* observes ``(attempt_index, error)``
-        before each sleep.
+        before each sleep.  The jitter schedule is built only once an
+        attempt has failed, so a first-try success pays nothing for it.
         """
-        schedule = self.delays()
         last: Optional[BaseException] = None
         for attempt in range(self.max_attempts):
             if deadline is not None and attempt > 0 and deadline.expired:
@@ -129,7 +129,7 @@ class RetryPolicy:
                 last = error
                 if attempt == self.max_attempts - 1:
                     break
-                delay = schedule[attempt]
+                delay = self.delays()[attempt]
                 if deadline is not None:
                     remaining = deadline.remaining()
                     if remaining <= 0.0:

@@ -2,9 +2,11 @@
 
 :class:`MappingServer` accepts keep-alive JSON connections on an
 ``asyncio.start_server`` socket, parses minimal HTTP/1.1 by hand, and
-dispatches every CPU-bound planning call to a
-``ProcessPoolExecutor`` worker tier (:mod:`repro.server.worker`) so
-the event loop never blocks on lattice math.  Workers share one
+dispatches every CPU-bound planning call to a tier of long-lived
+worker processes (:mod:`repro.server.worker`) so the event loop never
+blocks on lattice math.  Each worker is a fresh interpreter driven
+over its own stdin/stdout pipes, one call at a time: a call costs two
+pipe writes and no helper thread.  Workers share one
 ``flock``-guarded :class:`~repro.runtime.store.SolutionStore` as the
 fleet-wide warm L2; the server process itself keeps a small LRU
 *response memo* over canonical request bodies, so repeat traffic is
@@ -13,12 +15,12 @@ answered without a process hop at all.
 Error contract (see ``docs/serving.md``): worker results carry their
 own taxonomy-mapped status (400 unknown scheme / bad envelope, 422
 infeasible, 504 deadline with best-so-far partials, 503 transient);
-a crashed worker process (``BrokenProcessPool``) is a 503 with
-``type: "WorkerCrashed"`` and the pool is rebuilt before the next
-request.  Endpoints:
+a worker process that dies mid-request (EOF on its stdout) is a 503
+with ``type: "WorkerCrashed"``, and a fresh worker replaces it.
+Endpoints:
 
 ========================  =====================================
-``GET  /v1/healthz``      liveness + uptime + pool shape
+``GET  /v1/healthz``      liveness + uptime + worker count
 ``GET  /v1/stats``        server counters + one worker's engine stats
 ``POST /v1/map``          one MappingRequest envelope
 ``POST /v1/map_batch``    a BatchRequest envelope
@@ -34,14 +36,15 @@ import asyncio
 import contextlib
 import hashlib
 import json
+import os
+import pickle
 import signal
+import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Optional, Tuple
-
-import multiprocessing
+from asyncio.subprocess import PIPE, Process
+from pathlib import Path
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..core.cache import LRUMemo
 from ..core.types import ConfigurationError
@@ -54,6 +57,19 @@ __all__ = ["MappingServer", "ServerThread", "serve"]
 #: the event loop's memory.
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: How long :meth:`MappingServer.stop` lets workers finish their
+#: in-flight calls before it kills them.
+STOP_TIMEOUT_S = 5.0
+
+#: The worker command.  ``-m repro.server.worker`` would run the module
+#: a second time as ``__main__`` (``repro.server`` imports it), and
+#: runpy warns about that.
+_WORKER_MAIN = "from repro.server.worker import main; main()"
+
+#: The directory this process imported ``repro`` from; it goes first
+#: on every worker's ``PYTHONPATH``, so workers run the same code.
+_IMPORT_ROOT = str(Path(os.path.abspath(__file__)).parents[2])
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 408: "Request Timeout",
@@ -86,8 +102,32 @@ def _memo_key(path: str, body: Any) -> Optional[str]:
     return f"{path}:{digest}"
 
 
+async def _read_frame(reader: asyncio.StreamReader
+                      ) -> Optional[Dict[str, Any]]:
+    """The next frame a worker wrote; ``None`` at EOF (it exited)."""
+    try:
+        head = await reader.readexactly(worker.FRAME_HEADER.size)
+        (size,) = worker.FRAME_HEADER.unpack(head)
+        data = await reader.readexactly(size)
+    except asyncio.IncompleteReadError:
+        return None
+    message: Dict[str, Any] = pickle.loads(data)
+    return message
+
+
+async def _call(proc: Process, name: str, body: Any
+                ) -> Optional[Dict[str, Any]]:
+    """Run worker function *name* on *body* in *proc*; ``None`` if the
+    worker died before it replied."""
+    assert proc.stdin is not None and proc.stdout is not None
+    proc.stdin.write(worker.pack_frame((name, body)))
+    with contextlib.suppress(ConnectionError):  # dead: EOF tells below
+        await proc.stdin.drain()
+    return await _read_frame(proc.stdout)
+
+
 class MappingServer:
-    """The service: one asyncio acceptor + a process-pool worker tier.
+    """The service: one asyncio acceptor + a tier of worker processes.
 
     Parameters
     ----------
@@ -95,7 +135,8 @@ class MappingServer:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start`).
     workers:
-        Process-pool width for the CPU-bound planning calls.
+        Number of worker processes for the CPU-bound planning calls;
+        each runs one call at a time.
     store_path:
         Optional path to the shared :class:`SolutionStore` every
         worker mounts as its L2 (the fleet-wide warm cache).
@@ -137,8 +178,13 @@ class MappingServer:
         #: recomputed, never replayed.
         self.memo: LRUMemo[bytes] = LRUMemo(memo_size)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
+        #: Idle workers; ``None`` stands for one whose replacement
+        #: failed to start.  Built in :meth:`start`, on the serving loop.
+        self._idle: "asyncio.Queue[Optional[Process]]"
+        #: Every worker process not yet reaped.
+        self._procs: Set[Process] = set()
+        self._replacing: Set["asyncio.Task[None]"] = set()
+        self._closing = False
         self._started = 0.0
         # counters (mutated on the event loop thread only)
         self.requests = 0
@@ -147,53 +193,120 @@ class MappingServer:
 
     # -- worker tier ---------------------------------------------------
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        # Spawned (not forked) workers: an asyncio parent with running
-        # threads must not fork, and spawn keeps worker state honest —
-        # each child imports repro fresh and builds its engine in
-        # init_worker, exactly like a separate fleet machine would.
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=worker.init_worker,
-            initargs=(self.store_path, self.backend, self.cache_size))
+    async def _spawn(self) -> Process:
+        """Start one worker and wait for its ready frame; raises
+        ``ConfigurationError`` with the worker's message if it cannot
+        start.
 
-    def _pool_or_new(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = self._new_pool()
-            return self._pool
+        A fresh interpreter, not a fork: an asyncio parent with running
+        threads must not fork, and each worker imports repro and builds
+        its engine itself, exactly like a separate fleet machine would.
+        """
+        if self._closing:
+            raise ConfigurationError("the server is stopping")
+        proc = await asyncio.create_subprocess_exec(
+            sys.executable, "-c", _WORKER_MAIN, self.store_path or "",
+            self.backend, str(self.cache_size), stdin=PIPE, stdout=PIPE,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(
+                None, (_IMPORT_ROOT, os.environ.get("PYTHONPATH"))))),
+            # No read back-pressure: replies are read whole anyway, and
+            # a killed worker's unread reply must not hold back the EOF
+            # that lets wait() return.
+            limit=sys.maxsize)
+        self._procs.add(proc)
+        assert proc.stdout is not None
+        ready: Optional[Dict[str, Any]] = None
+        try:
+            ready = await _read_frame(proc.stdout)
+        finally:
+            if ready is None or not ready["ok"]:
+                with contextlib.suppress(ProcessLookupError):
+                    proc.kill()
+                await proc.wait()
+                self._procs.discard(proc)
+        if ready is None:
+            raise ConfigurationError(
+                "a worker exited before it was ready; see its stderr")
+        if not ready["ok"]:
+            raise ConfigurationError(ready["error"]["message"])
+        return proc
 
-    def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
-        """Swap the broken pool for a fresh one (once per crash)."""
-        with self._pool_lock:
-            if self._pool is broken:
-                broken.shutdown(wait=False)
-                self._pool = self._new_pool()
-                self.worker_restarts += 1
+    def _retire(self, proc: Process) -> None:
+        """Kill *proc*, which may owe an unread reply, and replace it
+        in the background."""
+        with contextlib.suppress(ProcessLookupError):
+            proc.kill()
+        if self._closing:
+            return  # stop() reaps it
+        self.worker_restarts += 1
+        task = asyncio.ensure_future(self._replace(proc))
+        self._replacing.add(task)
+        task.add_done_callback(self._replacing.discard)
+
+    async def _replace(self, proc: Process) -> None:
+        """Reap *proc*, then queue a fresh worker, or ``None`` when
+        none could start."""
+        await proc.wait()
+        self._procs.discard(proc)
+        fresh: Optional[Process] = None
+        with contextlib.suppress(ConfigurationError, OSError):
+            fresh = await self._spawn()  # else the next call retries
+        self._idle.put_nowait(fresh)
 
     async def _dispatch(self, fn: Callable[[Any], Dict[str, Any]],
                         body: Any) -> Dict[str, Any]:
-        """Run one worker function on the pool; crash -> 503 payload."""
-        loop = asyncio.get_event_loop()
-        pool = self._pool_or_new()
+        """Run one worker function on an idle worker; crash -> 503."""
+        proc = await self._idle.get()
+        if proc is None:  # its replacement failed to start: try again
+            try:
+                proc = await self._spawn()
+            except (ConfigurationError, OSError) as exc:
+                self._idle.put_nowait(None)
+                return {"ok": False, "error": {
+                    "type": "WorkerCrashed", "status": 503,
+                    "message": f"no worker could start: {exc}"}}
+            except BaseException:
+                self._idle.put_nowait(None)
+                raise
         try:
-            return await loop.run_in_executor(pool, fn, body)
-        except BrokenProcessPool:
-            self._replace_pool(pool)
+            outcome = await _call(proc, fn.__name__, body)
+        except BaseException:
+            # Cancelled or failed mid-call: the worker may still owe
+            # this call's reply, so it never serves another.
+            self._retire(proc)
+            raise
+        if outcome is None:
+            self._retire(proc)
             return {"ok": False, "error": {
                 "type": "WorkerCrashed", "status": 503,
                 "message": "a worker process died mid-request; the "
                            "worker pool has been rebuilt — retry the "
                            "request"}}
+        self._idle.put_nowait(proc)
+        return outcome
 
     # -- HTTP plumbing -------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and warm the worker pool."""
-        self._pool_or_new()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+        """Start every worker, then bind the socket.
+
+        Raises ``ConfigurationError`` with a worker's own message when
+        a worker cannot start, after stopping the ones that did.
+        """
+        self._idle = asyncio.Queue()
+        try:
+            started = await asyncio.gather(
+                *(self._spawn() for _ in range(self.workers)),
+                return_exceptions=True)
+            for proc in started:
+                if isinstance(proc, BaseException):
+                    raise proc
+                self._idle.put_nowait(proc)
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.host, self.port)
+        except BaseException:
+            await self.stop()
+            raise
         sockets = self._server.sockets or ()
         for sock in sockets:
             self.port = sock.getsockname()[1]
@@ -207,17 +320,33 @@ class MappingServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
+        """Close the listener, then stop every worker; none outlives
+        this call.
+
+        Each worker exits after its in-flight call: orphaned workers
+        would race external teardown (e.g. a store directory being
+        deleted out from under them).  Those still busy after
+        :data:`STOP_TIMEOUT_S` are killed.
+        """
+        self._closing = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        with self._pool_lock:
-            if self._pool is not None:
-                # Wait for in-flight worker calls: orphaned workers
-                # outliving stop() would race external teardown (e.g.
-                # a store directory being deleted out from under them).
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        await asyncio.gather(*self._replacing, return_exceptions=True)
+        procs = list(self._procs)
+        for proc in procs:
+            assert proc.stdin is not None
+            proc.stdin.close()  # EOF: the worker's loop ends
+        waits = asyncio.gather(*(proc.wait() for proc in procs))
+        try:
+            await asyncio.wait_for(waits, STOP_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            for proc in procs:
+                with contextlib.suppress(ProcessLookupError):
+                    proc.kill()
+            await asyncio.gather(*(proc.wait() for proc in procs))
+        self._procs.clear()
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
@@ -326,8 +455,8 @@ class MappingServer:
             if method != "POST":
                 return 405, self._method_error("POST"), None
             outcome = await self._dispatch(worker.crash, None)
-            # The only non-crash way out is a pool that died (ok=False
-            # with WorkerCrashed) — which is exactly the point.
+            # The only way out is a worker that died (ok=False with
+            # WorkerCrashed) — which is exactly the point.
             error = outcome.get("error", {"type": "WorkerCrashed",
                                           "status": 503,
                                           "message": "worker killed"})
@@ -462,6 +591,7 @@ class ServerThread:
             self._loop.run_until_complete(self.server.start())
         except BaseException as exc:  # noqa: B036 - report then bail
             self._startup_error = exc
+            self._loop.close()
             self._ready.set()
             return
         self._ready.set()
@@ -509,7 +639,9 @@ def serve(host: str = "127.0.0.1", port: int = 8080, *,
     """Blocking entry point for ``vwsdk serve``.
 
     Returns once Ctrl-C or SIGTERM has stopped the listener and the
-    worker pool, so the process exits 0 with no child left behind.
+    workers, so the process exits 0 with no child left behind.  A
+    worker that cannot start raises ``ConfigurationError`` before
+    anything is printed.
     """
     server = MappingServer(host, port, workers=workers,
                            store_path=store_path, backend=backend,
@@ -519,7 +651,7 @@ def serve(host: str = "127.0.0.1", port: int = 8080, *,
     async def _main() -> None:
         await server.start()
         # SIGTERM (``Popen.terminate()``, systemd, docker) takes the same
-        # graceful path as Ctrl-C: cancel serving, then stop the pool.
+        # graceful path as Ctrl-C: cancel serving, then stop the workers.
         main = asyncio.current_task()
         if main is not None:
             with contextlib.suppress(NotImplementedError):  # not on Windows

@@ -1,5 +1,5 @@
 """CI smoke driver: boot the server, drive every endpoint, crash a
-worker, verify the pool recovers.  Exit 0 on success, 1 with a
+worker, verify a replacement serves the next request.  Exit 0 on success, 1 with a
 diagnosis otherwise.
 
 Run as ``python -m repro.server.smoke`` (stdlib client only — this is
@@ -52,7 +52,7 @@ _REQ = {"layer": {"ifm": 14, "kernel": 3, "ic": 256, "oc": 256},
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
     store = str(tmp / "l2.jsonl")
-    print("booting server (2 spawn workers, shared store, "
+    print("booting server (2 worker processes, shared store, "
           "fault injection on) ...")
     with ServerThread(workers=2, store_path=store, backend="numpy",
                       fault_injection=True) as handle:
@@ -119,7 +119,7 @@ def main() -> int:
 
         status, body = client.call(
             "POST", "/v1/map", {"request": dict(_REQ, tag="post-crash")})
-        _check("pool recovered after crash", status == 200
+        _check("replacement worker serves after crash", status == 200
                and body["solution"]["cycles"] == 504, f"{status} {body}")
 
         status, body = client.call("GET", "/v1/stats")

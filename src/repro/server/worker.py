@@ -1,11 +1,19 @@
 """Worker-tier entry points for the mapping service.
 
-Each process in the server's ``ProcessPoolExecutor`` runs
+Each worker is its own interpreter, started by the server with
+:func:`main` and driven over its stdin/stdout pipes.  It runs
 :func:`init_worker` once, building one :class:`MappingEngine` with the
 shared :class:`~repro.runtime.store.SolutionStore` mounted as its L2 —
 the store file is ``flock``-guarded, so a fleet of workers appending
-and compacting concurrently stays frame-intact (the PR's store bugfix
-is what makes this tier safe).
+and compacting concurrently stays frame-intact.
+
+Frames are an 8-byte big-endian length followed by a pickle
+(:func:`pack_frame`).  The server sends ``(function name, body)``; the
+worker answers with that function's result dict.  Each side unpickles
+only what the other side of this program wrote; HTTP bodies stay JSON.
+The first frame a worker writes is its ready frame, in the same
+``{"ok": ...}`` form: a success once :func:`init_worker` has run, or
+the error it raised.
 
 Worker functions never raise across the process boundary: every
 entry point returns ``{"ok": True, "result": ...}`` or ``{"ok": False,
@@ -15,16 +23,19 @@ entry point returns ``{"ok": True, "result": ...}`` or ``{"ok": False,
 depend on exception *picklability* — ``DeadlineExceededError`` carries
 keyword-only partials (often numpy arrays) that a default pickle
 round-trip silently drops — so the contract is data out, never
-exceptions.  Only pool-level crashes (a worker process dying) surface
-as ``BrokenProcessPool`` in the parent, which the server maps to a 503
-and a pool rebuild.
+exceptions.  Only a worker process dying surfaces in the parent, as
+EOF on its stdout, which the server maps to a 503 and a replacement
+worker.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+import struct
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +56,7 @@ from ..runtime.store import SolutionStore
 
 __all__ = ["init_worker", "run_map", "run_map_batch", "run_network_sweep",
            "run_chip_pareto", "run_stats", "crash", "status_for",
-           "error_payload"]
+           "error_payload", "FRAME_HEADER", "pack_frame", "main"]
 
 #: One engine per worker process, built by :func:`init_worker`.
 _ENGINE: Optional[MappingEngine] = None
@@ -53,7 +64,7 @@ _ENGINE: Optional[MappingEngine] = None
 
 def init_worker(store_path: Optional[str], backend: str,
                 cache_size: int) -> None:
-    """Pool initializer: build this worker's engine (+ shared L2)."""
+    """Build this worker's engine (+ shared L2), once per process."""
     global _ENGINE
     store = SolutionStore(store_path) if store_path else None
     _ENGINE = MappingEngine(cache_size=cache_size, backend=backend,
@@ -128,7 +139,8 @@ def _guarded(fn: Callable[[], Any]) -> Dict[str, Any]:
 
     The last-resort ``Exception`` arm upholds the tier's "data out,
     never exceptions" contract even for bugs outside the taxonomy —
-    they become structured 500s instead of pool-poisoning raises.
+    they become structured 500s instead of raises that would end the
+    worker process.
     """
     try:
         return {"ok": True, "result": fn()}
@@ -301,7 +313,7 @@ def run_chip_pareto(body: Any) -> Dict[str, Any]:
 
 
 def run_stats(_body: Any = None) -> Dict[str, Any]:
-    """One worker's engine statistics (the pool is symmetric)."""
+    """One worker's engine statistics (the workers are symmetric)."""
     def work() -> Dict[str, Any]:
         stats = dict(_engine().stats.to_dict())
         stats["pid"] = os.getpid()
@@ -313,8 +325,71 @@ def crash(_body: Any = None) -> Dict[str, Any]:
     """Kill this worker process outright (fault-injection hook).
 
     ``os._exit`` skips every cleanup path — exactly the hard crash a
-    production fleet sees on OOM kills — so the parent observes a
-    ``BrokenProcessPool`` and must rebuild the tier.
+    production fleet sees on OOM kills — so the parent reads EOF
+    instead of a reply and must replace the worker.
     """
     os._exit(17)
     return {"ok": True, "result": None}  # pragma: no cover - unreachable
+
+
+# ----------------------------------------------------------------------
+# The worker process: frames over stdin/stdout
+# ----------------------------------------------------------------------
+
+#: Frame header: the length of the pickle that follows.
+FRAME_HEADER = struct.Struct(">Q")
+
+#: What a request frame may name.
+_FUNCTIONS: Dict[str, Callable[[Any], Dict[str, Any]]] = {
+    fn.__name__: fn for fn in (run_map, run_map_batch, run_network_sweep,
+                               run_chip_pareto, run_stats, crash)}
+
+
+def pack_frame(message: Any) -> bytes:
+    """One frame: the header, then *message* pickled."""
+    data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return FRAME_HEADER.pack(len(data)) + data
+
+
+def _read_frame(stream: BinaryIO) -> Any:
+    """The next frame's message; ``None`` once the server closes the
+    pipe."""
+    head = stream.read(FRAME_HEADER.size)
+    if len(head) < FRAME_HEADER.size:
+        return None
+    (size,) = FRAME_HEADER.unpack(head)
+    data = stream.read(size)
+    return pickle.loads(data) if len(data) == size else None
+
+
+def main() -> None:
+    """Worker process entry: ``sys.argv[1:]`` is ``(store path or "",
+    backend, cache size)``.
+
+    Writes the ready frame, then answers one request frame at a time
+    until stdin reaches EOF, which is how the server stops a worker.
+    """
+    # The parent drives shutdown; Ctrl-C reaches the whole process
+    # group and must not kill a worker mid-reply.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    store_path, backend, cache_size = sys.argv[1:]
+    # Frames own the original stdout; fd 1 now goes to stderr, so a
+    # stray print cannot corrupt a frame.
+    with os.fdopen(os.dup(1), "wb") as frames:
+        os.dup2(2, 1)
+
+        def write(message: Dict[str, Any]) -> None:
+            frames.write(pack_frame(message))
+            frames.flush()
+
+        ready = _guarded(lambda: init_worker(store_path or None, backend,
+                                             int(cache_size)))
+        write(ready)
+        if not ready["ok"]:
+            return
+        while True:
+            message = _read_frame(sys.stdin.buffer)
+            if message is None:
+                return
+            name, body = message
+            write(_FUNCTIONS[name](body))

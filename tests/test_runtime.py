@@ -276,6 +276,16 @@ class TestRetryPolicy:
         assert seen == [0, 1]
 
 
+def test_retry_first_try_success_builds_no_schedule(monkeypatch):
+    """The engine wraps every store lookup and append in ``call``; a
+    call that succeeds at once must not pay for the jitter schedule."""
+    def no_schedule(self):
+        raise AssertionError("delays() built on a first-try success")
+
+    monkeypatch.setattr(RetryPolicy, "delays", no_schedule)
+    assert RetryPolicy().call(lambda: "answer") == "answer"
+
+
 # ----------------------------------------------------------------------
 # Circuit breaker
 # ----------------------------------------------------------------------

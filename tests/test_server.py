@@ -11,7 +11,9 @@ must yield a clean 503 and a transparently rebuilt pool).
 
 from __future__ import annotations
 
+import asyncio
 import http.client
+import importlib.util
 import json
 import os
 import re
@@ -26,9 +28,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import MappingEngine, MappingRequest
-from repro.core import ConvLayer, PIMArray
-from repro.networks import resnet18
+from repro.api import BatchRequest, MappingEngine, MappingRequest
+from repro.core import ConfigurationError, ConvLayer, PIMArray
+from repro.networks import resnet18, vgg16
 from repro.runtime import SolutionStore
 from repro.server import ServerThread
 from repro.server.worker import (error_payload, run_chip_pareto, run_map,
@@ -443,3 +445,155 @@ def test_sigterm_stops_the_server_and_its_children(tmp_path):
             proc.kill()
             proc.wait()
         proc.stdout.close()
+
+
+# ----------------------------------------------------------------------
+# The worker processes: frames, crashes, cancellation, start-up
+# ----------------------------------------------------------------------
+#: A cold call that holds a worker for about a second.
+SLOW_PARETO = {"network": "vgg16", "pools": True,
+               "sides": list(range(64, 2049, 16)), "max_cells": 2048 * 2048}
+
+#: Wall-clock fields of map and map_batch replies.
+TIMING = re.compile(rb'"(solve_ms|elapsed_ms)":[-+.0-9eE]+')
+
+
+def _wait_until(condition, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert condition(), "timed out"
+
+
+def _idle_workers(handle):
+    return handle.server._idle.qsize()
+
+
+class TestWorkerProcesses:
+    def test_frames_larger_than_a_pipe_buffer(self):
+        """A 1,500-request batch: its body frame (~70 KB) and its reply
+        frame (~360 KB) both exceed a 64 KiB pipe buffer."""
+        requests = [dict(REQ, layer=dict(LAYER, ic=8 + i, oc=64))
+                    for i in range(1500)]
+        with ServerThread(workers=1, backend="numpy") as handle:
+            conn = http.client.HTTPConnection(*handle.address, timeout=120)
+            try:
+                conn.request("POST", "/v1/map_batch",
+                             json.dumps({"requests": requests}),
+                             {"Content-Type": "application/json"})
+                response = conn.getresponse()
+                status, raw = response.status, response.read()
+            finally:
+                conn.close()
+        assert status == 200
+        oracle = MappingEngine(backend="numpy").map_batch(
+            BatchRequest.from_dict({"requests": requests})).to_dict()
+        want = json.dumps(oracle, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+        assert TIMING.sub(b"", raw) == TIMING.sub(b"", want)
+
+    def test_crash_spares_the_call_in_flight(self, server):
+        """A crash of one worker fails only the request on it."""
+        _wait_until(lambda: _idle_workers(server) == 2)
+        restarts = call(server, "GET", "/v1/stats")[1]["server"][
+            "worker_restarts"]
+        replies = []
+        slow = threading.Thread(target=lambda: replies.append(
+            call(server, "POST", "/v1/chip_pareto", SLOW_PARETO)))
+        slow.start()
+        try:
+            # The slow call holds one worker, so the crash lands on the
+            # other.
+            _wait_until(lambda: _idle_workers(server) == 1)
+            status, body = call(server, "POST", "/v1/_crash_worker", {})
+            assert status == 503
+            assert body["error"]["type"] == "WorkerCrashed"
+        finally:
+            slow.join(timeout=120)
+        assert not slow.is_alive()
+        [(status, body)] = replies
+        assert status == 200
+        oracle = MappingEngine().chip_pareto(
+            vgg16(), scheme="vw-sdk", pools=True,
+            sides=SLOW_PARETO["sides"], max_cells=SLOW_PARETO["max_cells"])
+        assert body["points"] == [
+            {"pool": p.pool, "num_arrays": p.num_arrays, "cells": p.cells,
+             "energy_nj": p.energy_nj,
+             "bottleneck_cycles": p.bottleneck_cycles,
+             "latency_us": p.latency_us} for p in oracle]
+        stats = call(server, "GET", "/v1/stats")[1]
+        assert stats["server"]["worker_restarts"] == restarts + 1
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="checks worker processes through /proc")
+    def test_cancelled_call_retires_its_worker(self):
+        """A call cancelled mid-reply kills and reaps its worker, whose
+        replacement then serves the next request."""
+        with ServerThread(workers=2, backend="numpy") as handle:
+            server = handle.server
+            before = {proc.pid for proc in server._procs}
+            future = asyncio.run_coroutine_threadsafe(
+                server._dispatch(run_chip_pareto, SLOW_PARETO),
+                handle._loop)
+            _wait_until(lambda: _idle_workers(handle) == 1)
+            time.sleep(0.2)  # well inside the worker's solve
+            future.cancel()
+            _wait_until(lambda: _idle_workers(handle) == 2)
+            after = {proc.pid for proc in server._procs}
+            [retired] = before - after
+            _wait_until(lambda: not Path(f"/proc/{retired}").exists())
+            assert len(after) == 2
+            assert {pid for pid in before | after if _alive(pid)} == after
+            status, body = call(handle, "POST", "/v1/map",
+                                {"request": REQ})
+            assert status == 200
+            assert body["solution"]["cycles"] == 504
+
+    def test_replacement_that_cannot_start_is_a_503_not_a_hang(
+            self, tmp_path):
+        store = tmp_path / "l2.jsonl"
+        with ServerThread(workers=1, backend="numpy",
+                          store_path=str(store),
+                          fault_injection=True) as handle:
+            assert call(handle, "POST", "/v1/map", {"request": REQ})[0] \
+                == 200
+            store.rename(tmp_path / "moved.jsonl")
+            store.mkdir()  # no worker can mount the store now
+            assert call(handle, "POST", "/v1/_crash_worker", {})[0] == 503
+            status, body = call(handle, "POST", "/v1/map",
+                                {"request": dict(REQ, tag="no-worker")})
+            assert status == 503
+            assert body["error"]["type"] == "WorkerCrashed"
+            assert "is a directory" in body["error"]["message"]
+            store.rmdir()
+            status, body = call(handle, "POST", "/v1/map",
+                                {"request": dict(REQ, tag="recovered")})
+            assert status == 200
+            assert body["solution"]["cycles"] == 504
+
+    @pytest.mark.parametrize("kwargs", [
+        {"cache_size": -1},
+        pytest.param({"backend": "numba"}, marks=pytest.mark.skipif(
+            importlib.util.find_spec("numba") is not None,
+            reason="numba is installed, so its backend starts")),
+    ])
+    def test_worker_that_cannot_start_fails_start(self, kwargs):
+        handle = ServerThread(workers=1, **kwargs)
+        with pytest.raises(ConfigurationError) as raised:
+            handle.start()
+        handle._thread.join(timeout=30)
+        assert not handle._thread.is_alive()
+        assert not handle.server._procs
+        with pytest.raises(ConfigurationError) as direct:
+            MappingEngine(**kwargs)
+        assert str(raised.value) == str(direct.value)
+
+    def test_serve_exits_with_the_worker_message(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache-size", "-1"], capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 1
+        assert "serving on" not in proc.stdout
+        assert proc.stderr.strip() == \
+            "serve: cache_size must be >= 0, got -1"
