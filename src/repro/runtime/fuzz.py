@@ -284,9 +284,9 @@ def _batch_mismatch(rng: random.Random, requests: Sequence[MappingRequest],
     order, through a default engine; through a ``cache_size=2``
     engine warmed with one of them, which forces mid-batch evictions;
     and through an engine on *store*, which already holds every
-    answer.  Each response must
-    carry its cold solution, and on the default engine ``cached`` must
-    be False exactly on the first occurrence of each key.
+    answer.  Each response must carry its cold solution, and on the
+    default engine ``cached`` must be False exactly on the first
+    occurrence of each key.
     """
     answered = [(request, outcome) for request, outcome
                 in zip(requests, json.loads(cold)) if "error" not in outcome]
