@@ -2,8 +2,8 @@
 
 The 4-D frontier (``chip_pareto(..., fidelity=...)``) replays design
 points through the functional :class:`~repro.pim.engine.PIMEngine` —
-the slowest oracle in the repo, cycle-faithful bit-serial crossbar
-execution.  Two guards keep it usable at frontier scale:
+the slowest oracle in the repo, cycle-faithful crossbar execution.
+Two guards keep it usable at frontier scale:
 
 1. **Replay memo.**  Frontier points overwhelmingly share per-stage
    solution plans (one homogeneous plan serves every budget along its
@@ -67,7 +67,7 @@ def test_memo_hit_beats_cold_replay(benchmark):
 
 
 def test_cold_replay_is_exact(benchmark):
-    """The tracked cold path: full bit-serial replay, bit-exact."""
+    """The tracked cold path: full crossbar replay, bit-exact."""
     engine = MappingEngine()
     stages = plan(engine)
     report = benchmark(replay_point, stages)

@@ -2,13 +2,12 @@
 
 The paper notes its algorithm is a simple scan; these benches quantify
 that: per-layer search latency across IFM sizes, the cost of the
-exhaustive oracle, and the strided-search extension.
+exhaustive oracle, and the search on a strided layer.
 """
 
 import pytest
 
 from repro.core import ConvLayer, PIMArray
-from repro.core.strided import search_strided
 from repro.search import exhaustive_solution, vwsdk_solution
 
 ARRAY = PIMArray.square(512)
@@ -33,9 +32,9 @@ def test_search_oracle_same_cost_class(benchmark):
 
 
 def test_search_strided_stem(benchmark):
-    """Strided search on ResNet-18's real conv1 (stride 2, padding 3)."""
+    """Algorithm 1 on ResNet-18's real conv1 (stride 2, padding 3)."""
     stem = ConvLayer.square(224, 7, 3, 64, stride=2, padding=3)
-    solution = benchmark(search_strided, stem, ARRAY)
+    solution = benchmark(vwsdk_solution, stem, ARRAY)
     assert solution.cycles < stem.num_windows
     benchmark.extra_info["cycles"] = solution.cycles
 

@@ -4,13 +4,12 @@ Run:  python examples/custom_network.py
 
 Builds a custom edge-vision CNN the way a downstream user would — with
 real strides and padding — then (1) folds it to the paper's stride-1
-view and maps it with every scheme, and (2) uses the library's strided
-extension to map the stride-2 layers natively, showing both routes
-agree on cycle counts.
+view and maps it with every scheme, and (2) maps the real layers,
+stride-2 ones included, with the same search, showing where the two
+routes agree on cycle counts and where folding is optimistic.
 """
 
 from repro import ConvLayer, Network, PIMArray, compare_schemes
-from repro.core.strided import search_strided
 from repro.reporting import format_table
 from repro.search import vwsdk_solution
 
@@ -52,18 +51,19 @@ def map_folded(network: Network, array: PIMArray) -> None:
 
 
 def map_strided(network: Network, array: PIMArray) -> None:
-    """Route 2: map strided layers natively and quantify the folding gap.
+    """Route 2: map the real layers and quantify the folding gap.
 
     The paper folds strided layers into stride-1 equivalents, which
     *understates* the rows a parallel window really needs: with stride
     ``s`` a group of ``nw`` windows spans ``K + (nw-1)*s`` pixels, not
-    ``K + nw - 1``.  The native search is exact; at stride 1 the two
-    agree, and for stride > 1 native >= folded.
+    ``K + nw - 1``.  Algorithm 1 counts windows on the stride grid, so
+    mapping the real layer is exact; at stride 1 the two agree, and for
+    stride > 1 native >= folded.
     """
-    print("\nnative strided search vs the paper's folded approximation:")
+    print("\nnative search vs the paper's folded approximation:")
     rows = []
     for layer in network:
-        native = search_strided(layer, array)
+        native = vwsdk_solution(layer, array)
         folded = vwsdk_solution(layer.folded(), array)
         gap = 100.0 * (native.cycles - folded.cycles) / folded.cycles
         rows.append({
@@ -72,7 +72,7 @@ def map_strided(network: Network, array: PIMArray) -> None:
             "native cycles": native.cycles,
             "folded cycles": folded.cycles,
             "folding understates by": f"{gap:.1f}%",
-            "pixel window": str(native.pixel_window),
+            "pixel window": str(native.window),
         })
         assert native.cycles >= folded.cycles
         if layer.stride == 1:

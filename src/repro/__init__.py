@@ -63,14 +63,11 @@ from .core import (
     PIMArray,
     ParallelWindow,
     ReproError,
-    StridedSolution,
-    StridedWindow,
     cost_report,
     depthwise_mapping,
     grouped_mapping,
     im2col_cycles,
     preset,
-    search_strided,
     utilization_report,
     variable_window_cycles,
 )
@@ -111,9 +108,6 @@ __all__ = [
     "CostParams",
     "CostReport",
     "cost_report",
-    "StridedWindow",
-    "StridedSolution",
-    "search_strided",
     # searches
     "MappingSolution",
     "im2col_solution",

@@ -30,8 +30,7 @@ from ..registry import Rule, register_rule
 #: Call names whose results are cache-resident (module functions and
 #: method/classmethod names alike — matched on the final name segment).
 DEFAULT_CACHED_CONSTRUCTORS = (
-    "layer_lattice", "window_lattice", "strided_lattice",
-    "network_lattice", "chip_lattice",
+    "layer_lattice", "window_lattice", "network_lattice", "chip_lattice",
     "for_network", "for_solutions", "network_sweep", "get_or_compute",
 )
 

@@ -91,7 +91,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..dse.pareto import ChipDesignPoint
     from ..pim.replay import FidelityReport, FidelitySpec
 
-__all__ = ["MappingEngine", "default_engine", "set_default_engine"]
+__all__ = ["MappingEngine", "MODEL_REVISION", "default_engine",
+           "set_default_engine"]
+
+#: Revision of the cycle model's answers, the first part of every memo
+#: and store key.  Any change that alters an answer bumps it, so a
+#: store file written before the change reads as misses and is
+#: re-solved instead of serving stale solutions.  Revision 2 counts
+#: windows on the stride grid: strided layers stop falling back to
+#: im2col under ``vw-sdk`` and SDK spaces its copies by the stride.
+MODEL_REVISION = 2
 
 #: map_batch accepts a BatchRequest or any iterable of requests.
 Requests = Union[BatchRequest, Iterable[MappingRequest]]
@@ -135,9 +144,10 @@ class MappingEngine:
         consult the store before solving; fresh solves append to it
         (best-effort: write failures are retried, then counted in
         ``stats`` and absorbed — persistence never changes results).
-        Store and memo share the key ``"{registry version}:{canonical
-        hash}"``; it names no backend, since backends are bit-identical
-        by contract and the store outlives any one process's choice.
+        Store and memo share the key ``"r{model revision}:{registry
+        version}:{canonical hash}"``; it names no backend, since
+        backends are bit-identical by contract and the store outlives
+        any one process's choice.
     retry:
         :class:`~repro.runtime.retry.RetryPolicy` for store I/O
         (defaults to a small seeded exponential-backoff policy).
@@ -211,17 +221,18 @@ class MappingEngine:
     def _key(self, request: MappingRequest) -> str:
         """The memo and store key of *request*.
 
-        The scheme's registry version, then the request's canonical
-        hash, so replacing or re-registering a solver (``replace=True``
-        / ``unregister``) never serves solutions the old solver
-        computed.  No backend name enters it: solvers run on the
-        process's ``"auto"`` backend whatever the engine's, backends
-        are bit-identical by contract (re-proven by the breaker
-        property suite), and the store outlives any one process's
-        backend choice.
+        :data:`MODEL_REVISION`, so a store written by an older model is
+        never read; the scheme's registry version, so replacing or
+        re-registering a solver (``replace=True`` / ``unregister``)
+        never serves solutions the old solver computed; then the
+        request's canonical hash.  No backend name enters it: solvers
+        run on the process's ``"auto"`` backend whatever the engine's,
+        backends are bit-identical by contract (re-proven by the
+        breaker property suite), and the store outlives any one
+        process's backend choice.
         """
         version = self.registry.version(request.scheme)
-        return f"{version}:{request.cache_key}"
+        return f"r{MODEL_REVISION}:{version}:{request.cache_key}"
 
     def _timed_solve(self, request: MappingRequest,
                      key: str) -> Tuple[MappingSolution, float]:

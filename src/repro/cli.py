@@ -87,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="zoo network, e.g. vgg13, resnet18")
     p_net.add_argument("--file", default=None,
                        help="JSON network description (see "
-                            "repro.networks.io) instead of a zoo name")
+                            "repro.networks.io) instead of a zoo name; "
+                            "its layers are planned as written, strides "
+                            "and padding included")
     p_net.add_argument("--array", default="512x512",
                        help="array as ROWSxCOLS")
     p_net.add_argument("--json", action="store_true",
@@ -279,7 +281,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 def _cmd_network(args: argparse.Namespace) -> int:
     if args.file:
         from .networks import load_network
-        network = load_network(args.file).folded()
+        network = load_network(args.file)
     elif args.name:
         network = get_network(args.name)
     else:

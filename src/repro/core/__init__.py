@@ -9,7 +9,6 @@ Public surface:
   parallel-window grid (the shared search core).
 * :mod:`repro.core.utilization` — eq. 9 (used-cell fractions).
 * :mod:`repro.core.cost` — latency/energy on top of cycles.
-* :mod:`repro.core.strided` — stride/padding generalisation (extension).
 * :mod:`repro.core.backend` — pluggable compute backends (numpy
   reference / optional numba JIT) and minimized dtypes.
 """
@@ -42,19 +41,11 @@ from .lattice import (
     CycleLattice,
     LayerLattice,
     layer_lattice,
-    strided_lattice,
     window_lattice,
 )
 from .layer import ConvLayer
 from .presets import DEVICE_PRESETS, preset
 from .sweep import NetworkLattice, network_lattice
-from .strided import (
-    StridedSolution,
-    StridedWindow,
-    search_strided,
-    strided_breakdown,
-    strided_im2col_breakdown,
-)
 from .types import ConfigurationError, MappingError, ReproError, ceil_div
 from .utilization import (
     TileUsage,
@@ -85,7 +76,6 @@ __all__ = [
     "LayerLattice",
     "layer_lattice",
     "window_lattice",
-    "strided_lattice",
     "NetworkLattice",
     "network_lattice",
     "Backend",
@@ -107,11 +97,6 @@ __all__ = [
     "GroupedMapping",
     "grouped_mapping",
     "depthwise_mapping",
-    "StridedWindow",
-    "StridedSolution",
-    "search_strided",
-    "strided_breakdown",
-    "strided_im2col_breakdown",
     "ReproError",
     "ConfigurationError",
     "MappingError",

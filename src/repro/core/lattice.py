@@ -2,9 +2,9 @@
 
 Algorithm 1 scans every rectangular parallel window between the kernel
 size and the IFM size, evaluating eqs. 1-8 per window.  The scalar
-model (:mod:`repro.core.cycles`, :mod:`repro.core.strided`) stays the
-reference oracle; this module evaluates the *whole candidate grid at
-once* as NumPy integer arrays, so full-landscape consumers (Algorithm 1
+model (:mod:`repro.core.cycles`) stays the reference oracle; this
+module evaluates the *whole candidate grid at once* as NumPy integer
+arrays, so full-landscape consumers (Algorithm 1
 itself, the exhaustive oracle, ablations, Pareto sweeps, DSE) read one
 precomputed lattice instead of re-running tens of thousands of
 interpreted evaluations.
@@ -76,7 +76,7 @@ from .types import MappingError
 from .window import ParallelWindow
 
 __all__ = ["CycleLattice", "LayerLattice", "layer_lattice",
-           "window_lattice", "strided_lattice", "INFEASIBLE"]
+           "window_lattice", "INFEASIBLE"]
 
 #: Sentinel cycle count for infeasible cells in masked reductions; no
 #: real mapping reaches it (int64 max).
@@ -354,20 +354,14 @@ def layer_lattice(layer: ConvLayer) -> LayerLattice:
     return LayerLattice(layer, *grids)
 
 
-def _build_lattice(layer: ConvLayer, array: PIMArray) -> CycleLattice:
-    """Evaluate the full window grid for *layer* on *array*."""
-    return layer_lattice(layer).with_array(array)
-
-
 def window_lattice(layer: ConvLayer, array: PIMArray) -> CycleLattice:
-    """The stride-1 lattice over every ``ParallelWindow`` shape.
+    """The lattice over every parallel-window shape of *layer*.
 
     Cell ``[i, j]`` matches the scalar
     :func:`repro.core.cycles.variable_window_cycles` for the window
-    ``(K_h + i) x (K_w + j)`` — property-tested element for element.
-    Raises :class:`MappingError` for strided layers, whose window count
-    is not the paper's ``PW - K + 1``; use :func:`strided_lattice` (or
-    :meth:`ConvLayer.folded`) instead.
+    ``ParallelWindow.spanning(layer, i + 1, j + 1)`` — ``(K_h + i*s) x
+    (K_w + j*s)`` pixels at stride ``s`` — property-tested element for
+    element at strides 1-3.
 
     >>> from repro.core import ConvLayer, PIMArray
     >>> lat = window_lattice(ConvLayer.square(7, 3, 512, 512),
@@ -375,20 +369,4 @@ def window_lattice(layer: ConvLayer, array: PIMArray) -> CycleLattice:
     >>> str(lat.window_at(0, 1)), int(lat.cycles[0, 1])
     ('4x3', 390)
     """
-    if layer.stride != 1:
-        raise MappingError(
-            f"window_lattice models stride-1 layers; got stride "
-            f"{layer.stride} (use strided_lattice or layer.folded())")
-    return _build_lattice(layer, array)
-
-
-def strided_lattice(layer: ConvLayer, array: PIMArray) -> CycleLattice:
-    """The lattice over every ``StridedWindow`` group shape.
-
-    Cell ``[i, j]`` matches the scalar
-    :func:`repro.core.strided.strided_breakdown` for
-    ``StridedWindow(nw_h=i+1, nw_w=j+1)`` — property-tested element for
-    element.  For ``stride == 1`` this is identical to
-    :func:`window_lattice`.
-    """
-    return _build_lattice(layer, array)
+    return layer_lattice(layer).with_array(array)

@@ -8,9 +8,11 @@ its repeated basic blocks) can be described faithfully.
 The paper's evaluation (Table I) folds stride and padding away: it lists
 each layer with the IFM size *after* padding/striding effects and treats
 the convolution as stride-1/valid.  ``ConvLayer`` supports both views:
-build paper-style layers with the defaults (``stride=1, padding=0``) or
-describe the real network and call :meth:`ConvLayer.folded` to obtain
-the equivalent stride-1 layer used by the analytical model.
+build paper-style layers with the defaults (``stride=1, padding=0``), or
+describe the real network and map it as written — the analytical model
+counts windows on the stride grid, so strided layers need no folding.
+:meth:`ConvLayer.folded` still gives the paper's equivalent stride-1
+layer when that view is wanted.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ class ConvLayer:
         Number of input / output channels (``IC`` / ``OC`` in the paper).
     stride:
         Convolution stride (same in both dimensions).  The paper's model
-        assumes 1; :mod:`repro.core.strided` generalises.
+        assumes 1; here kernel windows sit on the stride grid, and a
+        group of ``nw`` of them spans ``K + (nw - 1) * stride`` pixels
+        (:meth:`repro.core.window.ParallelWindow.windows_along`).
     padding:
         Zero padding added on every side.
     repeats:
@@ -76,11 +80,6 @@ class ConvLayer:
                 f"kernel {self.kernel_h}x{self.kernel_w} larger than padded "
                 f"IFM {self.padded_ifm_h}x{self.padded_ifm_w}"
             )
-        if (self.padded_ifm_h - self.kernel_h) % self.stride or (
-                self.padded_ifm_w - self.kernel_w) % self.stride:
-            # Allow it (frameworks truncate), but the analytical model
-            # then covers floor((I-K)/s)+1 windows like real frameworks.
-            pass
 
     # ------------------------------------------------------------------
     # Constructors
@@ -201,12 +200,14 @@ class ConvLayer:
     # Transformations
     # ------------------------------------------------------------------
     def folded(self) -> "ConvLayer":
-        """Return the stride-1/no-padding layer the paper's model uses.
+        """Return the stride-1/no-padding layer the paper's tables list.
 
         The paper lists every layer with an IFM size such that a stride-1
         valid convolution yields the right number of windows.  Folding
         maps a strided/padded layer to that convention: the IFM becomes
-        ``OFM + K - 1`` in each dimension and stride/padding reset.
+        ``OFM + K - 1`` in each dimension and stride/padding reset.  The
+        window count is kept, but a strided window group's pixel span is
+        not, so folded cycle counts are optimistic for strided layers.
         """
         if self.stride == 1 and self.padding == 0:
             return self

@@ -10,8 +10,8 @@ array-independent.
 A :class:`NetworkLattice` stacks the distinct layer geometries of a
 network into one ragged flat evaluation:
 
-* every stride-1 geometry contributes its window grid *pruned to the
-  cells that can ever be cycle-minimal* as a contiguous *segment* of
+* every geometry contributes its window grid *pruned to the cells that
+  can ever be cycle-minimal* as a contiguous *segment* of
   flat ``area`` / ``windows`` / ``n_pw`` vectors (the kernel-sized
   cell is masked out, mirroring Algorithm 1's candidate space).
   Pruning is exact and array-independent: eq. 8 cycles are
@@ -27,8 +27,8 @@ network into one ragged flat evaluation:
   best with one ``minimum.reduceat``;
 * the eq. 1 im2col incumbent (fine-grained row splitting) is evaluated
   closed-form per geometry, so the per-layer answer is exactly what
-  ``solve(layer, array, scheme)`` reports — including strided layers,
-  where VW-SDK degenerates to im2col.
+  ``solve(layer, array, scheme)`` reports — strided layers included,
+  whose windows are counted on the stride grid like everywhere else.
 
 The result answers :meth:`network_cycles` for a single array in a few
 NumPy operations and :meth:`cycles_for` for *many* arrays in one
@@ -135,12 +135,12 @@ class NetworkLattice:
     im2col_rows: np.ndarray
     ic: np.ndarray
     oc: np.ndarray
-    #: Ragged stride-1 window fronts (dominance-pruned grids),
-    #: concatenated: per-cell area / windows-inside / eq. 3 count and
-    #: the owning geometry's IC / OC: each ``(S,)``.  Every stored
-    #: cell fits the padded IFM; array feasibility (eqs. 4/6 ``>= 1``)
-    #: is the only per-probe mask left.  Empty when the scheme (or
-    #: every layer's stride) bypasses the window search.
+    #: Ragged window fronts (dominance-pruned grids), concatenated:
+    #: per-cell area / windows-inside / eq. 3 count and the owning
+    #: geometry's IC / OC: each ``(S,)``.  Every stored cell fits the
+    #: padded IFM; array feasibility (eqs. 4/6 ``>= 1``) is the only
+    #: per-probe mask left.  Empty when the scheme bypasses the window
+    #: search.
     area_f: np.ndarray
     windows_f: np.ndarray
     n_pw_f: np.ndarray
@@ -152,7 +152,7 @@ class NetworkLattice:
     seg_geo: np.ndarray
 
     #: Schemes with a batchable analytical form.  ``vw-sdk`` is the
-    #: window search (im2col incumbent + full stride-1 grid); ``im2col``
+    #: window search (im2col incumbent + full window grid); ``im2col``
     #: is the eq. 1 closed form alone.
     SUPPORTED = ("vw-sdk", "im2col")
 
@@ -230,8 +230,8 @@ class NetworkLattice:
         seg_geo: List[int] = []
         offset = 0
         for index, layer in enumerate(rep):
-            if scheme != "vw-sdk" or layer.stride != 1:
-                continue  # solve() answers these with im2col alone
+            if scheme != "vw-sdk":
+                continue  # im2col is the eq. 1 closed form alone
             front = _window_front(layer)
             if not front.size:
                 continue  # kernel-only grid: im2col is the whole space
@@ -322,7 +322,7 @@ class NetworkLattice:
 
         Matches ``solve(layer, array, scheme).cycles`` cell for cell:
         the eq. 1 im2col count, improved by the best feasible window of
-        the stride-1 grid when the scheme searches (strict-vs-non-strict
+        the grid when the scheme searches (strict-vs-non-strict
         improvement cannot change a minimum).  Evaluation runs on the
         selected backend in the :meth:`sweep_dtype` minimized dtype.
         """

@@ -116,12 +116,14 @@ def _sdk_chunk_cells(solution: MappingSolution,
     nw = nw_h * nw_w
     area = window.area
     # Footprint of one channel: used[r, o] == 1 when window row r feeds
-    # kernel offset o's column.
+    # kernel window o's column; window (wy, wx) sits at pixel
+    # (wy*s, wx*s).
     used = np.zeros((area, nw), dtype=np.int64)
     for o_idx in range(nw):
         wy, wx = divmod(o_idx, nw_w)
-        for ph in range(wy, wy + layer.kernel_h):
-            for pw in range(wx, wx + layer.kernel_w):
+        y0, x0 = wy * layer.stride, wx * layer.stride
+        for ph in range(y0, y0 + layer.kernel_h):
+            for pw in range(x0, x0 + layer.kernel_w):
                 used[ph * window.w + pw, o_idx] = 1
     # Global row axis: channel-major repetition of the footprint.
     total_rows = area * layer.in_channels

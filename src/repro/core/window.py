@@ -2,14 +2,18 @@
 
 A *parallel window* (``PW`` in the paper) is a rectangular patch of the
 input feature map that is driven onto the crossbar rows in one computing
-cycle.  Every kernel-sized window inside the patch is convolved
-simultaneously by a shifted copy of the kernel, so a ``PW_h x PW_w``
-window around a ``K_h x K_w`` kernel produces
+cycle.  Every kernel window inside the patch is convolved simultaneously
+by a shifted copy of the kernel.  Kernel windows sit on the layer's
+stride grid, so a ``PW_h x PW_w`` window around a ``K_h x K_w`` kernel
+at stride ``s`` holds
 
-``nw = (PW_h - K_h + 1) * (PW_w - K_w + 1)``
+``nw = ((PW_h - K_h)/s + 1) * ((PW_w - K_w)/s + 1)``
 
-output elements per output channel per cycle.  ``PW == K`` degenerates
-to im2col (one window, ``nw == 1``).
+of them, one output element per output channel each, per cycle — the
+paper's ``(PW - K + 1)`` count at ``s == 1``.  Put the other way round,
+a group of ``nw`` windows spans ``K + (nw - 1)*s`` pixels; windows off
+that grid are not parallel windows of the layer.  ``PW == K``
+degenerates to im2col (one window, ``nw == 1``).
 """
 
 from __future__ import annotations
@@ -52,6 +56,23 @@ class ParallelWindow:
         return cls(h=layer.kernel_h, w=layer.kernel_w)
 
     @classmethod
+    def spanning(cls, layer: ConvLayer, nw_h: int,
+                 nw_w: int) -> "ParallelWindow":
+        """The window holding ``nw_h x nw_w`` of *layer*'s kernel windows.
+
+        Each axis spans ``K + (nw - 1) * stride`` pixels — the inverse
+        of :meth:`windows_along`.
+
+        >>> layer = ConvLayer.square(14, 3, 8, 8, stride=2)
+        >>> str(ParallelWindow.spanning(layer, 2, 3))
+        '7x5'
+        """
+        nw_h = require_positive_int("nw_h", nw_h)
+        nw_w = require_positive_int("nw_w", nw_w)
+        return cls(h=layer.kernel_h + (nw_h - 1) * layer.stride,
+                   w=layer.kernel_w + (nw_w - 1) * layer.stride)
+
+    @classmethod
     def parse(cls, spec: str) -> "ParallelWindow":
         """Parse a paper-style ``WxH`` string (width first).
 
@@ -81,29 +102,33 @@ class ParallelWindow:
         return self.h == self.w
 
     def windows_along(self, layer: ConvLayer) -> Tuple[int, int]:
-        """Sliding kernel positions inside the window: ``(nw_h, nw_w)``.
+        """Kernel windows inside the window per axis: ``(nw_h, nw_w)``.
 
-        Raises :class:`ConfigurationError` if the window is smaller than
-        the kernel in either dimension, and :class:`MappingError` if the
-        layer is strided and the window is larger than the kernel — the
-        ``PW - K + 1`` count assumes stride 1; strided layers must use
-        :class:`repro.core.strided.StridedWindow` (kernel-sized windows,
-        i.e. im2col, remain valid at any stride).
+        ``(PW - K) / stride + 1`` per axis.  Raises
+        :class:`ConfigurationError` if the window is smaller than the
+        kernel in either dimension, and :class:`MappingError` if it is
+        off the layer's stride grid (``PW - K`` not a multiple of the
+        stride), where no whole number of kernel windows fills it.
+
+        >>> ParallelWindow(h=5, w=7).windows_along(
+        ...     ConvLayer.square(14, 3, 8, 8, stride=2))
+        (2, 3)
         """
-        nw_h = self.h - layer.kernel_h + 1
-        nw_w = self.w - layer.kernel_w + 1
-        if nw_h <= 0 or nw_w <= 0:
+        extra_h = self.h - layer.kernel_h
+        extra_w = self.w - layer.kernel_w
+        if extra_h < 0 or extra_w < 0:
             raise ConfigurationError(
                 f"parallel window {self} smaller than kernel "
                 f"{layer.kernel_h}x{layer.kernel_w}"
             )
-        if layer.stride != 1 and (nw_h, nw_w) != (1, 1):
+        stride = layer.stride
+        if extra_h % stride or extra_w % stride:
             raise MappingError(
-                f"window {self} on a stride-{layer.stride} layer: the "
-                f"stride-1 window count does not apply; use "
-                f"repro.core.strided (or fold the layer first)"
+                f"window {self} is off the stride-{stride} grid of a "
+                f"{layer.kernel_h}x{layer.kernel_w} kernel: each side "
+                f"must be the kernel's plus a multiple of {stride}"
             )
-        return nw_h, nw_w
+        return extra_h // stride + 1, extra_w // stride + 1
 
     def windows_inside(self, layer: ConvLayer) -> int:
         """Total kernel windows inside the parallel window (``N_w^P``)."""
@@ -129,14 +154,16 @@ class ParallelWindow:
 def num_candidate_windows(layer: ConvLayer) -> int:
     """How many windows Algorithm 1's scan visits for *layer*.
 
-    The full ``(K..I_h) x (K..I_w)`` grid minus the kernel-sized cell —
+    The full stride grid from the kernel to the padded IFM — one window
+    per OFM element, ``OFM_h x OFM_w`` — minus the kernel-sized cell:
     the length of :func:`iter_candidate_windows` without iterating it.
 
     >>> num_candidate_windows(ConvLayer.square(14, 3, 8, 8))
     143
+    >>> num_candidate_windows(ConvLayer.square(14, 3, 8, 8, stride=2))
+    35
     """
-    return ((layer.padded_ifm_h - layer.kernel_h + 1)
-            * (layer.padded_ifm_w - layer.kernel_w + 1) - 1)
+    return layer.ofm_h * layer.ofm_w - 1
 
 
 def iter_candidate_windows(layer: ConvLayer) -> Iterator[ParallelWindow]:
@@ -144,17 +171,19 @@ def iter_candidate_windows(layer: ConvLayer) -> Iterator[ParallelWindow]:
 
     The paper's loop increments ``PW_w`` first (inner) and ``PW_h``
     second (outer), starting from the kernel size and stopping at the IFM
-    size.  The kernel-sized window itself is skipped: Algorithm 1
-    initialises the incumbent with the im2col cycle count instead, and
-    the first candidate evaluated is ``(K_w + 1, K_h)``.
+    size, in steps of the stride.  The kernel-sized window itself is
+    skipped: Algorithm 1 initialises the incumbent with the im2col cycle
+    count instead, and the first candidate evaluated is
+    ``(K_w + s, K_h)``.
 
     Scan order matters for tie-breaking: Algorithm 1 only replaces the
     incumbent on a *strict* improvement, so the first window reaching the
     optimal cycle count is reported (e.g. ``10x3`` rather than the tying
     ``4x6`` for VGG-13 layer 1).
     """
-    for h in range(layer.kernel_h, layer.padded_ifm_h + 1):
-        for w in range(layer.kernel_w, layer.padded_ifm_w + 1):
+    stride = layer.stride
+    for h in range(layer.kernel_h, layer.padded_ifm_h + 1, stride):
+        for w in range(layer.kernel_w, layer.padded_ifm_w + 1, stride):
             if h == layer.kernel_h and w == layer.kernel_w:
                 continue
             yield ParallelWindow(h=h, w=w)

@@ -469,16 +469,14 @@ def window_pareto(layer: ConvLayer, array: PIMArray) -> List[ParetoPoint]:
     report = utilization_report(base)
     entries: List[_Entry] = [(str(base.window), base.cycles,
                               report.mean_pct, report.peak_pct)]
-    lattice = None
-    if layer.stride == 1:
-        space = CandidateSpace.stride1(layer, array)
-        lattice = space.lattice
-        mean = lattice.mean_utilization_pct()
-        peak = lattice.peak_utilization_pct()
-        entries.extend(
-            ((i, j), int(lattice.cycles[i, j]),
-             float(mean[i, j]), float(peak[i, j]))
-            for i, j in space.iter_cells(order="area"))
+    space = CandidateSpace.for_layer(layer, array)
+    lattice = space.lattice
+    mean = lattice.mean_utilization_pct()
+    peak = lattice.peak_utilization_pct()
+    entries.extend(
+        ((i, j), int(lattice.cycles[i, j]),
+         float(mean[i, j]), float(peak[i, j]))
+        for i, j in space.iter_cells(order="area"))
 
     # Minimise (cycles, -mean utilization); the skyline keeps one of
     # each exact tie, and every window tied with a kept one rejoins.

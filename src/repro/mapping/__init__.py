@@ -3,7 +3,6 @@
 from .ascii_art import render_plan, render_tile
 from .plan import MappingPlan, TilePlan, build_plan
 from .smd import SMDPlan, build_smd_plan
-from .strided import build_strided_plan
 from .validate import validate_plan
 
 __all__ = [
@@ -12,7 +11,6 @@ __all__ = [
     "build_plan",
     "SMDPlan",
     "build_smd_plan",
-    "build_strided_plan",
     "validate_plan",
     "render_plan",
     "render_tile",

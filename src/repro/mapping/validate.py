@@ -104,5 +104,4 @@ def validate_plan(plan: "MappingPlan") -> None:
     _check_tile_dims(plan)
     _check_channel_cover(plan)
     _check_output_cover(plan)
-    if plan.layer.stride == 1:
-        _check_used_cells(plan)
+    _check_used_cells(plan)

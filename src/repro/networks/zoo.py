@@ -96,8 +96,9 @@ def resnet18() -> Network:
 def resnet18_full() -> Network:
     """Full ResNet-18 with real strides, padding and repeat counts.
 
-    Uses the library's stride/padding extension; fold with
-    ``Network.folded()`` to get the paper-style view.  Downsample
+    Planned as written: windows are counted on each layer's stride
+    grid.  ``Network.folded()`` gives the paper-style stride-1 view
+    (``resnet18()`` is the paper's own listing).  Downsample
     (1x1 projection) convs are included — the paper omits them, which
     is visible when comparing totals.
     """

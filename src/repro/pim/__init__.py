@@ -9,16 +9,8 @@ reproduction trustworthy.
 """
 
 from .adc import IdealADC, LinearADC
-from .bitserial import bit_serial_cycles, bit_serial_mvm, decompose_bits
-from .bitslice import (
-    recombine_outputs,
-    slice_weights,
-    sliced_column_factor,
-    sliced_mvm,
-)
 from .crossbar import Crossbar
 from .dac import IdealDAC, UniformDAC
-from .differential import DifferentialCrossbar, effective_array
 from .engine import ExecutionResult, PIMEngine
 from .grouped_exec import (
     GroupedExecution,
@@ -53,15 +45,6 @@ __all__ = [
     "conv2d_reference",
     "conv2d_naive",
     "pad_ifm",
-    "bit_serial_mvm",
-    "bit_serial_cycles",
-    "decompose_bits",
-    "slice_weights",
-    "recombine_outputs",
-    "sliced_mvm",
-    "sliced_column_factor",
-    "DifferentialCrossbar",
-    "effective_array",
     "GroupedExecution",
     "grouped_conv2d_reference",
     "run_grouped",

@@ -30,7 +30,7 @@ truncate each other's in-progress appends as torn tails, or clobber
 each other's records during compaction (compact re-scans the file under
 the lock and carries foreign records forward).  Keys are engine-defined
 strings
-(``"{registry version}:{request.cache_key}"`` — see
+(``"r{model revision}:{registry version}:{request.cache_key}"`` — see
 ``api/engine.py``); values are plain JSON objects, typically
 ``solution_to_dict`` payloads.
 

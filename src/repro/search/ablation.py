@@ -14,14 +14,14 @@ DESIGN.md ablation benches print the resulting totals):
 Both are masked subspaces of the same vectorized lattice Algorithm 1
 scans (:meth:`~repro.search.space.CandidateSpace.square_only`,
 :meth:`~repro.search.space.CandidateSpace.full_channels_only`), so an
-ablation costs one mask instead of a second scalar scan.  Strided
-layers fall back to the scalar loop, which concludes — like Algorithm 1
-— that only the im2col initialisation applies.
+ablation costs one mask instead of a second scalar scan.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
+
+import numpy as np
 
 from ..core.array import PIMArray
 from ..core.layer import ConvLayer
@@ -39,17 +39,15 @@ __all__ = ["vwsdk_square_only", "vwsdk_full_channels_only"]
 
 
 def _square_candidates(layer: ConvLayer) -> Iterator[ParallelWindow]:
-    limit = min(layer.padded_ifm_h, layer.padded_ifm_w)
+    """Algorithm 1's square windows beyond the kernel's long side."""
     start = max(layer.kernel_h, layer.kernel_w) + 1
-    for size in range(start, limit + 1):
-        window = ParallelWindow.square(size)
-        if window.covers_kernel(layer):
-            yield window
+    return (window for window in iter_candidate_windows(layer)
+            if window.is_square and window.h >= start)
 
 
 def _search_scalar(layer: ConvLayer, array: PIMArray, candidates,
                    require_full_channels: bool) -> MappingSolution:
-    """Reference scalar scan (also the strided-layer fallback)."""
+    """Reference scalar scan: the oracle the lattice searches match."""
     base = im2col_solution(layer, array)
     incumbent = MappingSolution(
         scheme="vw-sdk", layer=layer, array=array, window=base.window,
@@ -96,15 +94,13 @@ def vwsdk_square_only(layer: ConvLayer, array: PIMArray) -> MappingSolution:
     >>> vwsdk_square_only(layer, PIMArray.square(512)).cycles
     576
     """
-    if layer.stride != 1:
-        return _search_scalar(layer, array, _square_candidates(layer),
-                              require_full_channels=False)
-    # Candidate count mirrors the scalar generator: one square per size
-    # from max(K)+1 up to the short IFM side.
-    limit = min(layer.padded_ifm_h, layer.padded_ifm_w)
+    space = CandidateSpace.for_layer(layer, array).square_only()
+    # Candidate count mirrors the scalar generator: every square grid
+    # cell, feasible or not.
+    lat = space.lattice
     start = max(layer.kernel_h, layer.kernel_w) + 1
-    searched = max(0, limit - start + 1)
-    space = CandidateSpace.stride1(layer, array).square_only()
+    searched = int(np.count_nonzero(lat.pw_h[lat.pw_h >= start, None]
+                                    == lat.pw_w[None, :]))
     return _search_lattice(layer, array, space, searched)
 
 
@@ -115,9 +111,6 @@ def vwsdk_full_channels_only(layer: ConvLayer,
     Still allows rectangles — this is "SDK with free shapes but no
     channel tiling".
     """
-    if layer.stride != 1:
-        return _search_scalar(layer, array, iter_candidate_windows(layer),
-                              require_full_channels=True)
     searched = num_candidate_windows(layer)
-    space = CandidateSpace.stride1(layer, array).full_channels_only()
+    space = CandidateSpace.for_layer(layer, array).full_channels_only()
     return _search_lattice(layer, array, space, searched)

@@ -22,7 +22,7 @@ from typing import Iterator, List, Tuple
 
 from ..core.array import PIMArray
 from ..core.layer import ConvLayer
-from ..core.window import ParallelWindow
+from ..core.window import ParallelWindow, iter_candidate_windows
 from .im2col import im2col_solution
 from .result import MappingSolution
 from .space import CandidateSpace, lattice_solution
@@ -48,9 +48,7 @@ def enumerate_feasible(layer: ConvLayer,
     read off the vectorized lattice.
     """
     yield _base_solution(layer, array)
-    if layer.stride != 1:
-        return  # no stride-1 window beyond the kernel is feasible
-    space = CandidateSpace.stride1(layer, array)
+    space = CandidateSpace.for_layer(layer, array)
     for i, j in space.iter_cells(order="area"):
         yield lattice_solution(space.lattice, i, j)
 
@@ -64,12 +62,7 @@ def exhaustive_solution(layer: ConvLayer, array: PIMArray) -> MappingSolution:
     window shapes.
     """
     base = _base_solution(layer, array)
-    if layer.stride != 1:
-        return MappingSolution(
-            scheme="vw-sdk", layer=layer, array=array, window=base.window,
-            breakdown=base.breakdown, duplication=base.duplication,
-            candidates_searched=1)
-    space = CandidateSpace.stride1(layer, array)
+    space = CandidateSpace.for_layer(layer, array)
     searched = 1 + space.count
     best = base
     cell = space.argmin(order="area")
@@ -103,9 +96,7 @@ def cycle_landscape(layer: ConvLayer, array: PIMArray, *,
         points.extend((sol.window, sol.cycles)
                       for sol in _scalar_feasible(layer, array))
         return points
-    if layer.stride != 1:
-        return points
-    space = CandidateSpace.stride1(layer, array)
+    space = CandidateSpace.for_layer(layer, array)
     lat = space.lattice
     for i, j in space.iter_cells(order="area"):
         points.append((lat.window_at(i, j), int(lat.cycles[i, j])))
@@ -119,13 +110,8 @@ def _scalar_feasible(layer: ConvLayer,
     Evaluates :func:`evaluate_window` for every window in area-major
     order, skipping the kernel-sized cell like the vectorized path.
     """
-    windows: List[ParallelWindow] = []
-    for h in range(layer.kernel_h, layer.padded_ifm_h + 1):
-        for w in range(layer.kernel_w, layer.padded_ifm_w + 1):
-            if h == layer.kernel_h and w == layer.kernel_w:
-                continue
-            windows.append(ParallelWindow(h=h, w=w))
-    windows.sort(key=lambda win: (win.area, win.h, win.w))
+    windows = sorted(iter_candidate_windows(layer),
+                     key=lambda win: (win.area, win.h, win.w))
     for window in windows:
         candidate = evaluate_window(layer, array, window)
         if candidate is not None:

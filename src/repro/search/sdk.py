@@ -2,7 +2,10 @@
 
 SDK shifts and duplicates the kernel ``d x d`` times (``d^2`` copies, "in
 the unit of square number") to form a square parallel window of side
-``p = K + d - 1`` that is shared by all copies.  It always maps *entire*
+``p = K + d - 1`` that is shared by all copies.  On a strided layer the
+copies sit one stride apart, ``d`` kernel windows per axis, so the
+window spans ``p = K + (d - 1)*s`` pixels (the paper's SDK is stride-1
+only; this is the repo's extension).  It always maps *entire*
 input channels: the ``p*p*IC`` window rows are laid out contiguously and
 split across row tiles like an im2col column, so
 ``AR = ceil(p*p*IC / rows)``; the duplicated kernels of all output
@@ -43,8 +46,9 @@ __all__ = ["sdk_solution", "sdk_window_for_duplication", "sdk_cycles_for"]
 
 
 def sdk_window_for_duplication(layer: ConvLayer, d: int) -> ParallelWindow:
-    """The square window produced by ``d x d`` kernel duplication."""
-    return ParallelWindow(h=layer.kernel_h + d - 1, w=layer.kernel_w + d - 1)
+    """The window produced by ``d x d`` kernel duplication: ``d`` kernel
+    windows per axis, ``K + (d - 1)*s`` pixels."""
+    return ParallelWindow.spanning(layer, d, d)
 
 
 def sdk_cycles_for(layer: ConvLayer, array: PIMArray,

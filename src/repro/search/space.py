@@ -18,8 +18,8 @@ repo needs:
   shared lattice instead of separate scalar loops.
 
 >>> from repro.core import ConvLayer, PIMArray
->>> space = CandidateSpace.stride1(ConvLayer.square(14, 3, 256, 256),
-...                                PIMArray.square(512))
+>>> space = CandidateSpace.for_layer(ConvLayer.square(14, 3, 256, 256),
+...                                  PIMArray.square(512))
 >>> ij = space.argmin()
 >>> str(space.lattice.window_at(*ij))
 '4x3'
@@ -33,7 +33,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..core.array import PIMArray
-from ..core.lattice import CycleLattice, strided_lattice, window_lattice
+from ..core.lattice import CycleLattice, window_lattice
 from ..core.layer import ConvLayer
 from ..core.types import ConfigurationError
 from .result import MappingSolution
@@ -84,24 +84,14 @@ class CandidateSpace:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def stride1(cls, layer: ConvLayer, array: PIMArray,
-                include_kernel_cell: bool = False) -> "CandidateSpace":
-        """Algorithm 1's candidate space (stride-1 window lattice).
+    def for_layer(cls, layer: ConvLayer, array: PIMArray,
+                  include_kernel_cell: bool = False) -> "CandidateSpace":
+        """Algorithm 1's candidate space: *layer*'s window lattice.
 
         The kernel-sized cell ``[0, 0]`` is excluded by default —
         Algorithm 1 covers it through its im2col incumbent instead.
         """
-        return cls._of(window_lattice(layer, array), include_kernel_cell)
-
-    @classmethod
-    def strided(cls, layer: ConvLayer, array: PIMArray,
-                include_kernel_cell: bool = False) -> "CandidateSpace":
-        """The strided-search candidate space (any stride)."""
-        return cls._of(strided_lattice(layer, array), include_kernel_cell)
-
-    @classmethod
-    def _of(cls, lattice: CycleLattice,
-            include_kernel_cell: bool) -> "CandidateSpace":
+        lattice = window_lattice(layer, array)
         mask = lattice.feasible.copy()
         if not include_kernel_cell:
             mask[0, 0] = False

@@ -11,6 +11,10 @@ Windows that cannot host even one input channel in the array rows, or
 one output channel's duplicated kernels in the array columns, are
 skipped as infeasible.
 
+Windows are counted on the layer's stride grid (a group of ``nw``
+kernel windows spans ``K + (nw - 1)*s`` pixels), so the same search
+serves strided layers; at stride 1 it is the paper's scan.
+
 The whole grid is evaluated in one shot on the vectorized
 :func:`~repro.core.lattice.window_lattice`; the lattice's row-major
 ``argmin`` reproduces the scalar loop's first-found tie-breaking
@@ -41,8 +45,9 @@ def evaluate_window(layer: ConvLayer, array: PIMArray,
                     window: ParallelWindow) -> Optional[MappingSolution]:
     """Evaluate one candidate window; ``None`` when infeasible.
 
-    Feasibility means: at least kernel-sized, fits the IFM, hosts >= 1
-    input channel in the rows and >= 1 output channel in the columns.
+    Feasibility means: at least kernel-sized, on the layer's stride
+    grid, fits the IFM, hosts >= 1 input channel in the rows and >= 1
+    output channel in the columns.
     """
     if not (window.covers_kernel(layer) and window.fits_ifm(layer)):
         return None
@@ -101,11 +106,7 @@ def vwsdk_solution(layer: ConvLayer, array: PIMArray,
     # The default grid scan, vectorized.  `searched` keeps the scalar
     # loop's convention: every grid cell except the kernel-sized one.
     searched = num_candidate_windows(layer)
-    if layer.stride != 1:
-        # The stride-1 window count does not apply; every non-kernel
-        # window is infeasible, exactly as the scalar scan concludes.
-        return replace(incumbent, candidates_searched=searched)
-    space = CandidateSpace.stride1(layer, array)
+    space = CandidateSpace.for_layer(layer, array)
     best = space.first_improvement(incumbent.cycles)
     if best is None:
         return replace(incumbent, candidates_searched=searched)

@@ -92,11 +92,9 @@ def test_with_array_bit_identical_across_backends(layer, array):
                 (backend.name, name)
 
 
-@given(layers.filter(lambda l: l.stride == 1), arrays)
+@given(layers, arrays)
 @settings(max_examples=40, deadline=None)
 def test_feasible_cells_match_scalar_oracle(layer, array):
-    # variable_window_cycles speaks stride-1 windows only; strided
-    # layers are oracle-checked end-to-end through ``solve`` below.
     lattice = layer_lattice(layer).with_array(array, backend="numpy")
     rows, cols = np.nonzero(lattice.feasible)
     # Sample a handful of feasible cells; the scalar model is the

@@ -1,7 +1,5 @@
-"""Unit tests for differential encoding, bit-slicing, grouped conv,
-and device presets."""
+"""Unit tests for grouped conv and device presets."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -12,104 +10,8 @@ from repro import (
     grouped_mapping,
     preset,
 )
-from repro.core.types import ConfigurationError, MappingError
-from repro.pim import (
-    DifferentialCrossbar,
-    PIMEngine,
-    conv2d_reference,
-    effective_array,
-    slice_weights,
-    sliced_column_factor,
-    sliced_mvm,
-)
+from repro.core.types import ConfigurationError
 from repro.search import vwsdk_solution
-
-
-class TestDifferentialCrossbar:
-    def test_conductances_non_negative(self, rng):
-        xbar = DifferentialCrossbar(PIMArray(8, 8))
-        xbar.program(rng.normal(size=(8, 4)))
-        assert (xbar.conductances >= 0).all()
-
-    def test_signed_mvm_exact(self, rng):
-        w = rng.integers(-5, 6, (6, 3)).astype(float)
-        x = rng.integers(-5, 6, 6).astype(float)
-        xbar = DifferentialCrossbar(PIMArray(6, 6))
-        xbar.program(w)
-        np.testing.assert_array_equal(xbar.compute(x), x @ w)
-
-    def test_column_budget_halved(self):
-        xbar = DifferentialCrossbar(PIMArray(8, 6))
-        with pytest.raises(MappingError):
-            xbar.program(np.ones((8, 4)))   # needs 8 physical columns
-
-    def test_effective_array(self):
-        assert effective_array(PIMArray(512, 512)) == PIMArray(512, 256)
-
-    def test_effective_array_needs_two_columns(self):
-        with pytest.raises(ConfigurationError):
-            effective_array(PIMArray(8, 1))
-
-    def test_end_to_end_with_engine(self, rng):
-        layer = ConvLayer.square(8, 3, 4, 6)
-        physical = PIMArray(64, 64)
-        sol = vwsdk_solution(layer, effective_array(physical))
-        ifm = rng.integers(-4, 5, (4, 8, 8)).astype(float)
-        k = rng.integers(-4, 5, (6, 4, 3, 3)).astype(float)
-        result = PIMEngine(crossbar=DifferentialCrossbar(physical)).run(
-            sol, ifm, k)
-        np.testing.assert_array_equal(result.ofm, conv2d_reference(ifm, k))
-        assert result.cycles == sol.cycles
-
-    def test_differential_costs_cycles(self, rng):
-        # Halving usable columns can increase AC cycles — the price of
-        # signed weights on unipolar devices.
-        layer = ConvLayer.square(12, 3, 16, 60)
-        physical = PIMArray(256, 64)
-        plain = vwsdk_solution(layer, physical).cycles
-        signed = vwsdk_solution(layer, effective_array(physical)).cycles
-        assert signed >= plain
-
-    def test_compute_before_program(self):
-        with pytest.raises(MappingError):
-            DifferentialCrossbar(PIMArray(4, 4)).compute(np.ones(2))
-
-
-class TestBitSlicing:
-    def test_factor(self):
-        assert sliced_column_factor(8, 2) == 4
-        assert sliced_column_factor(8, 3) == 3
-        assert sliced_column_factor(1, 1) == 1
-
-    def test_slice_roundtrip_values(self):
-        w = np.array([[5], [-3]])
-        sliced, signs, n = slice_weights(w, weight_bits=3, cell_bits=1)
-        assert n == 3
-        rebuilt = sum(sliced[:, s] * (1 << s) for s in range(3))
-        np.testing.assert_array_equal(rebuilt, np.abs(w[:, 0]))
-
-    def test_cells_bounded_by_cell_bits(self, rng):
-        w = rng.integers(0, 128, (10, 4))
-        sliced, _, _ = slice_weights(w, weight_bits=7, cell_bits=2)
-        assert sliced.max() <= 3
-
-    def test_sliced_mvm_exact(self, rng):
-        w = rng.integers(-127, 128, (24, 8))
-        x = rng.integers(-15, 16, 24)
-        np.testing.assert_array_equal(sliced_mvm(w, x, 8, 2), x @ w)
-
-    def test_sliced_mvm_single_bit_cells(self, rng):
-        w = rng.integers(-7, 8, (12, 5))
-        x = rng.integers(-3, 4, 12)
-        np.testing.assert_array_equal(sliced_mvm(w, x, 4, 1), x @ w)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ConfigurationError):
-            slice_weights(np.array([[300]]), weight_bits=8, cell_bits=2)
-
-    def test_float_weights_rejected(self):
-        with pytest.raises(ConfigurationError):
-            slice_weights(np.array([[1.5]]), weight_bits=8, cell_bits=2)
 
 
 class TestGroupedConv:

@@ -1,14 +1,13 @@
 """Property tests: the vectorized lattice vs. the scalar oracle.
 
-The scalar model (``variable_window_cycles``, ``strided_breakdown``,
-``evaluate_window`` and the pre-lattice search loops re-implemented
-here) is the reference; every test asserts the vectorized
-``repro.core.lattice`` / ``repro.search.space`` stack reproduces it
-element for element — including Algorithm 1's strict-improvement
-first-found tie-breaking.
+The scalar model (``variable_window_cycles``, ``evaluate_window`` and
+the pre-lattice search loops re-implemented here) is the reference;
+every test asserts the vectorized ``repro.core.lattice`` /
+``repro.search.space`` stack reproduces it element for element, at
+strides 1-3 — including Algorithm 1's strict-improvement first-found
+tie-breaking.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,16 +16,9 @@ from repro.core import (
     ConvLayer,
     MappingError,
     PIMArray,
-    strided_lattice,
+    im2col_cycles,
     variable_window_cycles,
     window_lattice,
-)
-from repro.core.strided import (
-    StridedWindow,
-    iter_strided_candidates,
-    search_strided,
-    strided_breakdown,
-    strided_im2col_breakdown,
 )
 from repro.core.utilization import utilization_report
 from repro.core.window import ParallelWindow, iter_candidate_windows
@@ -49,12 +41,13 @@ from repro.search import (
 # Strategies: randomized layers (with stride/padding), arrays
 # ----------------------------------------------------------------------
 
-stride1_layers = st.builds(
+layers = st.builds(
     ConvLayer.square,
     st.integers(min_value=4, max_value=16),      # ifm
     st.integers(min_value=1, max_value=4),       # kernel
     st.integers(min_value=1, max_value=24),      # ic
     st.integers(min_value=1, max_value=24),      # oc
+    stride=st.integers(min_value=1, max_value=3),
     padding=st.integers(min_value=0, max_value=2),
 )
 
@@ -79,7 +72,7 @@ arrays = st.builds(
 # Cell-for-cell agreement with the scalar model
 # ----------------------------------------------------------------------
 
-@given(stride1_layers, arrays)
+@given(layers, arrays)
 @settings(max_examples=60, deadline=None)
 def test_window_lattice_matches_scalar_every_cell(layer, array):
     lat = window_lattice(layer, array)
@@ -87,8 +80,9 @@ def test_window_lattice_matches_scalar_every_cell(layer, array):
     for i in range(lat.shape[0]):
         for j in range(lat.shape[1]):
             window = lat.window_at(i, j)
-            assert (window.h, window.w) == (layer.kernel_h + i,
-                                            layer.kernel_w + j)
+            assert (window.h, window.w) == (
+                layer.kernel_h + i * layer.stride,
+                layer.kernel_w + j * layer.stride)
             try:
                 expected = variable_window_cycles(layer, array, window)
             except MappingError:
@@ -104,31 +98,21 @@ def test_window_lattice_matches_scalar_every_cell(layer, array):
 @given(any_stride_layers, arrays)
 @settings(max_examples=60, deadline=None)
 def test_strided_lattice_matches_scalar_every_cell(layer, array):
-    lat = strided_lattice(layer, array)
+    lat = window_lattice(layer, array)
     assert lat.shape == (layer.ofm_h, layer.ofm_w)
     for i in range(lat.shape[0]):
         for j in range(lat.shape[1]):
-            window = StridedWindow(nw_h=i + 1, nw_w=j + 1)
+            window = ParallelWindow.spanning(layer, nw_h=i + 1, nw_w=j + 1)
             try:
-                expected = strided_breakdown(layer, array, window)
+                expected = variable_window_cycles(layer, array, window)
             except MappingError:
                 assert not lat.feasible[i, j]
                 continue
             assert lat.feasible[i, j]
             assert lat.breakdown_at(i, j) == expected
             # Pixel extents agree with the scalar window geometry.
-            pixel = window.pixel_window(layer)
-            assert (int(lat.pw_h[i]), int(lat.pw_w[j])) == (pixel.h,
-                                                            pixel.w)
-
-
-@given(stride1_layers, arrays)
-@settings(max_examples=40, deadline=None)
-def test_lattices_coincide_at_stride_one(layer, array):
-    win = window_lattice(layer, array)
-    strided = strided_lattice(layer, array)
-    np.testing.assert_array_equal(win.cycles, strided.cycles)
-    np.testing.assert_array_equal(win.feasible, strided.feasible)
+            assert (int(lat.pw_h[i]), int(lat.pw_w[j])) == (window.h,
+                                                            window.w)
 
 
 # ----------------------------------------------------------------------
@@ -161,21 +145,21 @@ def test_vwsdk_matches_scalar_loop(layer, array):
 @given(any_stride_layers, arrays)
 @settings(max_examples=60, deadline=None)
 def test_search_strided_matches_scalar_loop(layer, array):
-    best_window = StridedWindow(1, 1)
-    best = strided_im2col_breakdown(layer, array)
-    for window in iter_strided_candidates(layer):
+    best_window = ParallelWindow.of_kernel(layer)
+    best = im2col_cycles(layer, array)
+    for window in iter_candidate_windows(layer):
         try:
-            candidate = strided_breakdown(layer, array, window)
+            candidate = variable_window_cycles(layer, array, window)
         except MappingError:
             continue
         if candidate.total < best.total:
             best, best_window = candidate, window
-    actual = search_strided(layer, array)
+    actual = vwsdk_solution(layer, array)
     assert actual.window == best_window              # same tie-break
     assert actual.breakdown == best
 
 
-@given(stride1_layers, arrays)
+@given(layers, arrays)
 @settings(max_examples=40, deadline=None)
 def test_ablations_match_scalar_loops(layer, array):
     from repro.search.ablation import _search_scalar, _square_candidates
@@ -194,7 +178,7 @@ def test_ablations_match_scalar_loops(layer, array):
     assert fc_actual.candidates_searched == fc_expected.candidates_searched
 
 
-@given(stride1_layers, arrays)
+@given(layers, arrays)
 @settings(max_examples=40, deadline=None)
 def test_landscape_vectorized_matches_scalar(layer, array):
     vectorized = cycle_landscape(layer, array)
@@ -202,7 +186,7 @@ def test_landscape_vectorized_matches_scalar(layer, array):
     assert vectorized == scalar
 
 
-@given(stride1_layers, arrays)
+@given(layers, arrays)
 @settings(max_examples=30, deadline=None)
 def test_window_pareto_matches_generic_front(layer, array):
     """The sort-and-scan frontier equals the generic O(n^2) one.
@@ -218,7 +202,7 @@ def test_window_pareto_matches_generic_front(layer, array):
     points = [ParetoPoint(window=str(base.window), cycles=base.cycles,
                           mean_utilization_pct=report.mean_pct,
                           peak_utilization_pct=report.peak_pct)]
-    space = CandidateSpace.stride1(layer, array)
+    space = CandidateSpace.for_layer(layer, array)
     mean = space.lattice.mean_utilization_pct()
     peak = space.lattice.peak_utilization_pct()
     for i, j in space.iter_cells(order="area"):
@@ -237,10 +221,10 @@ def test_window_pareto_matches_generic_front(layer, array):
 # Vectorized utilization closed form vs. eq. 9 tile enumeration
 # ----------------------------------------------------------------------
 
-@given(stride1_layers, arrays)
+@given(layers, arrays)
 @settings(max_examples=40, deadline=None)
 def test_lattice_utilization_matches_report(layer, array):
-    space = CandidateSpace.stride1(layer, array)
+    space = CandidateSpace.for_layer(layer, array)
     mean = space.lattice.mean_utilization_pct()
     peak = space.lattice.peak_utilization_pct()
     checked = 0
@@ -286,10 +270,10 @@ def test_paper_windows_through_lattice(ifm, k, ic, oc, window, cycles):
 # CandidateSpace strategies: orders, top-k, masked subspaces
 # ----------------------------------------------------------------------
 
-@given(stride1_layers, arrays)
+@given(layers, arrays)
 @settings(max_examples=40, deadline=None)
 def test_top_k_is_sorted_prefix_of_oracle_order(layer, array):
-    space = CandidateSpace.stride1(layer, array)
+    space = CandidateSpace.for_layer(layer, array)
     cells = space.top_k(5)
     assert len(cells) == min(5, space.count)
     keys = [(int(space.lattice.cycles[c]), int(space.lattice.area[c]),
@@ -303,10 +287,10 @@ def test_top_k_is_sorted_prefix_of_oracle_order(layer, array):
         assert cells[0] == top1
 
 
-@given(stride1_layers, arrays)
+@given(layers, arrays)
 @settings(max_examples=40, deadline=None)
 def test_masked_subspaces_are_subsets(layer, array):
-    space = CandidateSpace.stride1(layer, array)
+    space = CandidateSpace.for_layer(layer, array)
     for sub in (space.square_only(), space.full_channels_only()):
         assert sub.count <= space.count
         assert not (sub.mask & ~space.mask).any()
@@ -317,10 +301,10 @@ def test_masked_subspaces_are_subsets(layer, array):
         assert win.h > max(layer.kernel_h, layer.kernel_w)
 
 
-@given(stride1_layers, arrays)
+@given(layers, arrays)
 @settings(max_examples=40, deadline=None)
 def test_scan_argmin_equals_first_scan_minimum(layer, array):
-    space = CandidateSpace.stride1(layer, array)
+    space = CandidateSpace.for_layer(layer, array)
     cell = space.argmin(order="scan")
     if cell is None:
         assert space.count == 0

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from repro import ConvLayer, MappingError, PIMArray
-from repro.core.strided import search_strided
 from repro.mapping import build_plan, build_smd_plan, render_plan
-from repro.mapping.strided import build_strided_plan
 from repro.search import solve
 
 
@@ -156,7 +154,7 @@ class TestWeightsOracle:
 
     def test_strided_plan_matches_oracle(self, rng):
         layer = ConvLayer.square(11, 3, 4, 6, stride=2, padding=1)
-        plan = build_strided_plan(search_strided(layer, PIMArray(64, 32)))
+        plan = _plan_for("vw-sdk", layer, PIMArray(64, 32))
         assert plan.window.area > layer.kernel_area  # >1 kernel per window
         self._check(plan, layer, rng)
 

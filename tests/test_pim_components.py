@@ -1,4 +1,4 @@
-"""Unit tests for crossbar, ADC/DAC, noise and bit-serial components."""
+"""Unit tests for crossbar, ADC/DAC, noise and reference components."""
 
 import numpy as np
 import pytest
@@ -14,11 +14,8 @@ from repro.pim import (
     NoNoise,
     StuckCells,
     UniformDAC,
-    bit_serial_cycles,
-    bit_serial_mvm,
     conv2d_naive,
     conv2d_reference,
-    decompose_bits,
     make_noise,
 )
 
@@ -193,36 +190,3 @@ class TestNoise:
         assert isinstance(make_noise(), NoNoise)
         assert isinstance(make_noise(sigma=0.1), LognormalNoise)
         assert isinstance(make_noise(sigma=0.1, stuck=0.1), ComposedNoise)
-
-
-class TestBitSerial:
-    def test_decompose_roundtrip(self):
-        values = np.array([5, -3, 0, 7])
-        planes, signs = decompose_bits(values, bits=3)
-        rebuilt = sum((planes[b].astype(int) << b) for b in range(3)) * signs
-        np.testing.assert_array_equal(rebuilt, values)
-
-    def test_mvm_equals_direct(self, rng):
-        w = rng.integers(-7, 8, (6, 4))
-        x = rng.integers(-7, 8, 6)
-        np.testing.assert_array_equal(bit_serial_mvm(w, x, bits=3), x @ w)
-
-    def test_mvm_large_random(self, rng):
-        w = rng.integers(-100, 101, (32, 16))
-        x = rng.integers(-127, 128, 32)
-        np.testing.assert_array_equal(bit_serial_mvm(w, x, bits=7), x @ w)
-
-    def test_insufficient_bits_rejected(self):
-        with pytest.raises(ConfigurationError):
-            decompose_bits(np.array([8]), bits=3)
-
-    def test_float_input_rejected(self):
-        with pytest.raises(ConfigurationError):
-            decompose_bits(np.array([1.5]), bits=3)
-
-    def test_cycles_multiplier(self):
-        assert bit_serial_cycles(504, 8) == 4032
-
-    def test_cycles_validation(self):
-        with pytest.raises(ConfigurationError):
-            bit_serial_cycles(100, 0)

@@ -14,7 +14,6 @@ from repro.core.cycles import (
     num_parallel_windows,
     variable_window_cycles,
 )
-from repro.core.strided import search_strided
 from repro.core.utilization import utilization_report
 from repro.pim import PIMEngine, conv2d_reference
 from repro.search import (
@@ -137,13 +136,6 @@ def test_parallel_window_count_covers_all_windows(layer):
             window = ParallelWindow(h=h, w=w)
             n = num_parallel_windows(layer, window)
             assert n * window.windows_inside(layer) >= layer.num_windows
-
-
-@given(small_layers, arrays)
-@settings(max_examples=60, deadline=None)
-def test_strided_search_agrees_at_stride_one(layer, array):
-    assert (search_strided(layer, array).cycles
-            == vwsdk_solution(layer, array).cycles)
 
 
 @given(small_layers, arrays)

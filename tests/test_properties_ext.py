@@ -1,8 +1,7 @@
 """Property-based tests for the extension modules.
 
-Mirrors ``test_properties.py`` for the beyond-paper systems:
-differential encoding, bit-slicing, grouped execution, and the chip
-allocator.
+Mirrors ``test_properties.py`` for the beyond-paper systems: grouped
+execution and the chip allocator.
 """
 
 import numpy as np
@@ -12,47 +11,8 @@ from hypothesis import strategies as st
 from repro import ConvLayer, PIMArray
 from repro.chip.allocation import allocate_layer
 from repro.core.grouped import grouped_mapping
-from repro.pim import (
-    DifferentialCrossbar,
-    grouped_conv2d_reference,
-    run_grouped,
-    sliced_mvm,
-)
+from repro.pim import grouped_conv2d_reference, run_grouped
 from repro.search import vwsdk_solution
-
-# ----------------------------------------------------------------------
-# Differential encoding
-# ----------------------------------------------------------------------
-
-@given(st.integers(1, 12), st.integers(1, 6),
-       st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=60, deadline=None)
-def test_differential_mvm_always_exact(rows, cols, seed):
-    rng = np.random.default_rng(seed)
-    w = rng.integers(-9, 10, (rows, cols)).astype(float)
-    x = rng.integers(-9, 10, rows).astype(float)
-    xbar = DifferentialCrossbar(PIMArray(rows, 2 * cols))
-    xbar.program(w)
-    assert (xbar.conductances >= 0).all()
-    np.testing.assert_array_equal(xbar.compute(x), x @ w)
-
-
-# ----------------------------------------------------------------------
-# Bit-slicing
-# ----------------------------------------------------------------------
-
-@given(st.integers(1, 16), st.integers(1, 8), st.integers(1, 8),
-       st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=60, deadline=None)
-def test_bitsliced_mvm_always_exact(rows, cols, weight_bits, cell_bits,
-                                    seed):
-    rng = np.random.default_rng(seed)
-    top = (1 << weight_bits) - 1
-    w = rng.integers(-top, top + 1, (rows, cols))
-    x = rng.integers(-7, 8, rows)
-    np.testing.assert_array_equal(
-        sliced_mvm(w, x, weight_bits, cell_bits), x @ w)
-
 
 # ----------------------------------------------------------------------
 # Grouped convolution execution

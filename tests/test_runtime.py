@@ -586,6 +586,36 @@ class TestEngineRuntime:
             assert response.solution.cycles == 504
             assert not response.cached  # bad record -> solved fresh
 
+    def test_record_from_previous_model_revision_is_resolved(
+            self, tmp_path, monkeypatch):
+        """A store outlives code changes: a record written under an
+        older model revision reads as a miss and is solved afresh.
+
+        The record is what revision 1 answered for ResNet-18's real
+        conv1 — im2col, 12,544 cycles; windows on the stride grid
+        need 1,568."""
+        from dataclasses import replace
+
+        from repro.api import engine as engine_module
+        from repro.search import im2col_solution
+        conv1 = ConvLayer.square(224, 7, 3, 64, stride=2, padding=3)
+        stale = replace(im2col_solution(conv1, ARRAY), scheme="vw-sdk")
+        assert stale.cycles == 12544
+        previous = engine_module.MODEL_REVISION - 1
+        with SolutionStore(tmp_path / "s.jsonl") as store:
+            monkeypatch.setattr(engine_module, "MODEL_REVISION", previous)
+            old = MappingEngine(store=store)
+            store.put(old._key(request(conv1)), solution_to_dict(stale))
+            # Under the old revision the record is live...
+            assert old.map(request(conv1)).solution.cycles == 12544
+            monkeypatch.undo()
+            # ...under the current one it is a miss, re-solved.
+            engine = MappingEngine(store=store)
+            response = engine.map(request(conv1))
+            assert not response.cached
+            assert response.solution.cycles == 1568
+            assert len(store) == 2  # the fresh answer, under a new key
+
     def test_lost_tail_resolved_bit_identically(self, tmp_path):
         """The acceptance property end-to-end: corrupt the store, and
         the damaged tail is simply re-solved with identical results."""

@@ -74,9 +74,9 @@ class TestLayerLattice:
     @given(any_layers, arrays)
     @settings(max_examples=40, deadline=None)
     def test_strided_with_array_matches_direct(self, layer, array):
-        from repro.core.lattice import strided_lattice
+        from repro.core.lattice import window_lattice
         finished = layer_lattice(layer).with_array(array)
-        direct = strided_lattice(layer, array)
+        direct = window_lattice(layer, array)
         np.testing.assert_array_equal(finished.cycles, direct.cycles)
         np.testing.assert_array_equal(finished.feasible, direct.feasible)
 
