@@ -19,15 +19,19 @@ pool into candidate deployment *plans*:
 ``ceil(n_pw/L)`` replicas of ``tiles`` arrays of ``cells`` cells each,
 so for every latency target the stage's silicon bill scales with that
 product.  Ties fall to lower per-inference energy, then fewer cells,
-then the taller geometry — deterministic for identical layers, so
-repeated blocks always land on the same geometry.
+then fewer rows (the wider of two transposed geometries) —
+deterministic for identical layers, so repeated blocks always land on
+the same geometry.
 
 Every plan then flows through the *existing* staircase machinery: the
 :class:`~repro.chip.sweep.ChipLattice` merge never inspects the arrays
 (only per-stage ``(n_pw, tiles, repeats)``), so mixed-geometry stages
-replay through the same vectorized sweeps, and
+replay through the same vectorized sweeps.  :func:`pool_plans` takes
+each plan's priced lattice from the engine memo and hands it over on
+:attr:`PoolPlan.lattice`: the best-fit keys are read off the
+homogeneous lattices' per-stage vectors, and
 :func:`repro.dse.pareto.chip_pareto` prices every plan's frontier from
-one lattice each.
+that one lattice, looked up once.
 
 >>> from repro.core import PIMArray
 >>> from repro.networks import resnet18
@@ -38,8 +42,10 @@ one lattice each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.array import PIMArray
 from ..core.cost import DEFAULT_COST_PARAMS, CostParams, cost_report
@@ -49,6 +55,7 @@ from ..search.result import MappingSolution
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..api.engine import MappingEngine
+    from .sweep import ChipLattice
 
 __all__ = ["PoolPlan", "best_fit_arrays", "pool_plans"]
 
@@ -66,6 +73,11 @@ class PoolPlan:
     #: Per-stage array geometry, aligned with the network's layers.
     arrays: Tuple[PIMArray, ...]
     homogeneous: bool
+    #: The plan's priced :class:`~repro.chip.sweep.ChipLattice`, as
+    #: :func:`pool_plans` took it from the engine memo (``None`` for a
+    #: plan built by hand).  Not part of the plan's identity.
+    lattice: Optional["ChipLattice"] = field(default=None, compare=False,
+                                             repr=False)
 
     def __str__(self) -> str:  # noqa: D105 - compact summary
         return f"{self.label}[{len(self.arrays)} stages]"
@@ -101,6 +113,26 @@ def _fit_key(solution: MappingSolution,
     energy = cost_report(solution, cost_params).compute_energy_nj
     return (float(solution.breakdown.n_pw) * tiles * cells, energy,
             cells, solution.array.rows)
+
+
+def _best_fit_of(plans: Sequence[PoolPlan]) -> Tuple[PIMArray, ...]:
+    """:func:`best_fit_arrays` read off homogeneous plans' lattices.
+
+    Every plan maps every layer, so the ``(plans, stages)`` matrices of
+    the lattices' per-stage ``n_pw``, ``tiles``, ``cells`` and
+    ``stage_energy_nj`` hold each pair's :func:`_fit_key` terms in its
+    order; a stable sort over the plans keeps the first of equal keys,
+    as the scalar scan does.
+    """
+    n_pw, tiles, cells, energy = (
+        np.stack([getattr(plan.lattice, name) for plan in plans])
+        for name in ("n_pw", "tiles", "cells", "stage_energy_nj"))
+    rows = np.broadcast_to(np.asarray(
+        [plan.arrays[0].rows for plan in plans], dtype=np.int64)[:, None],
+        n_pw.shape)
+    product = n_pw.astype(np.float64) * tiles * cells
+    best = np.lexsort((rows, cells, energy, product), axis=0)[0]
+    return tuple(plans[index].arrays[0] for index in best.tolist())
 
 
 def best_fit_arrays(network: Iterable[ConvLayer], pool: Sequence[PIMArray],
@@ -154,12 +186,21 @@ def pool_plans(network: Iterable[ConvLayer], pool: Sequence[PIMArray],
     """Candidate deployment plans of *network* over an array *pool*.
 
     One homogeneous plan per geometry that maps every layer, plus —
-    with *include_mixed* (the default) and >= 2 usable geometries — the
-    best-fit mixed plan when it differs from every homogeneous one.
+    with *include_mixed* (the default) and >= 2 pool geometries — the
+    best-fit mixed plan when every layer maps on some geometry and the
+    plan differs from every homogeneous one.
     Because the homogeneous plans are always included, any frontier
     taken over all returned plans dominates-or-equals each single
     geometry's frontier by construction.  Returns ``[]`` when no pool
     geometry maps the whole network.
+
+    Each plan carries its :meth:`~repro.api.engine.MappingEngine.chip_lattice`
+    priced with *cost_params* (:data:`~repro.core.cost.DEFAULT_COST_PARAMS`
+    when ``None``) on :attr:`PoolPlan.lattice`; a geometry whose lattice
+    raises :class:`~repro.core.types.MappingError` gets no plan.  The
+    mixed plan is scored off the homogeneous lattices when every pool
+    geometry maps every layer, and through :func:`best_fit_arrays`
+    otherwise — the same assignment either way.
 
     >>> from repro.core import PIMArray
     >>> from repro.networks import resnet18
@@ -169,27 +210,33 @@ def pool_plans(network: Iterable[ConvLayer], pool: Sequence[PIMArray],
     ['128x128', '512x512']
     """
     eng = engine if engine is not None else _default_engine()
+    params = cost_params if cost_params is not None else DEFAULT_COST_PARAMS
     geometries = _normalized_pool(pool)
     layers = tuple(network)
     plans: List[PoolPlan] = []
     for geometry in geometries:
         try:
-            for layer in layers:
-                eng.solve(layer, geometry, scheme)
+            lattice = eng.chip_lattice(layers, geometry, scheme,
+                                       cost_params=params)
         except MappingError:
             continue
         plans.append(PoolPlan(label=str(geometry),
                               arrays=(geometry,) * len(layers),
-                              homogeneous=True))
+                              homogeneous=True, lattice=lattice))
     if include_mixed and len(geometries) >= 2:
-        try:
-            assignment = best_fit_arrays(layers, geometries, scheme,
-                                         engine=eng,
-                                         cost_params=cost_params)
-        except MappingError:
-            assignment = None
+        assignment: Optional[Tuple[PIMArray, ...]] = None
+        if len(plans) == len(geometries):
+            assignment = _best_fit_of(plans)
+        else:  # a geometry misses some layer: score pair by pair
+            try:
+                assignment = best_fit_arrays(layers, geometries, scheme,
+                                             engine=eng, cost_params=params)
+            except MappingError:
+                pass
         if assignment is not None and \
                 all(plan.arrays != assignment for plan in plans):
-            plans.append(PoolPlan(label="mixed", arrays=assignment,
-                                  homogeneous=False))
+            plans.append(PoolPlan(
+                label="mixed", arrays=assignment, homogeneous=False,
+                lattice=eng.chip_lattice(layers, assignment, scheme,
+                                         cost_params=params)))
     return plans

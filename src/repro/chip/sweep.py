@@ -57,7 +57,7 @@ arithmetic :meth:`~ChipLattice.sweep` uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union, overload)
 
@@ -99,6 +99,13 @@ def _concat_sweeps(blocks: "List[ChipSweep]") -> "ChipSweep":
         energy_nj=cat("energy_nj"),
         latency_us=cat("latency_us"),
     )
+
+
+def _sweep_prefix(sweep: "ChipSweep", stop: int) -> "ChipSweep":
+    """The first *stop* probes of *sweep*, as views of its vectors."""
+    vectors = {f.name: getattr(sweep, f.name) for f in fields(sweep)}
+    return ChipSweep(**{name: None if vector is None else vector[:stop]
+                        for name, vector in vectors.items()})
 
 
 @dataclass(frozen=True)
@@ -608,6 +615,11 @@ class ChipLattice:
         capped at *max_arrays* when given (possibly empty, when even
         the residency floor exceeds it).
 
+        The uncapped rows are computed once per lattice, on first use,
+        and frozen; every call returns read-only views of them (a cap
+        keeps the prefix of budgets ``<= max_arrays``, found by
+        ``searchsorted``), never fresh allocations.
+
         >>> from repro.core import PIMArray
         >>> from repro.networks import resnet18
         >>> lat = ChipLattice.for_network(resnet18(), PIMArray.square(512))
@@ -618,14 +630,22 @@ class ChipLattice:
         1
         >>> bool((front.arrays_used == front.num_arrays).all())
         True
+        >>> front.num_arrays.flags.writeable
+        False
         """
-        needed = -(-self.n_pw // self.frontier_latencies()[:, None])
-        budgets, first = np.unique((needed * self.step).sum(axis=1),
-                                   return_index=True)
-        if max_arrays is not None:
-            within = budgets <= max_arrays   # a prefix: budgets ascend
-            budgets, first = budgets[within], first[within]
-        return self._outcomes(budgets, needed[first])
+        front = self.__dict__.get("_frontier")
+        if front is None:
+            needed = -(-self.n_pw // self.frontier_latencies()[:, None])
+            budgets, first = np.unique((needed * self.step).sum(axis=1),
+                                       return_index=True)
+            front = self._outcomes(budgets, needed[first])
+            vectors = (getattr(front, f.name) for f in fields(front))
+            frozen_arrays(v for v in vectors if v is not None)
+            object.__setattr__(self, "_frontier", front)
+        if max_arrays is None:
+            return front
+        return _sweep_prefix(front, int(np.searchsorted(
+            front.num_arrays, max_arrays, side="right")))
 
     def frontier_counts(self, max_arrays: Optional[int] = None
                         ) -> np.ndarray:

@@ -77,9 +77,8 @@ def geo_cycles_kernel(rows: np.ndarray, cols: np.ndarray,
 
 
 def finish_kernel(area: np.ndarray, windows: np.ndarray,
-                  n_pw: np.ndarray, fits_ifm: np.ndarray,
-                  rows: int, cols: int, in_channels: int,
-                  out_channels: int,
+                  n_pw: np.ndarray, rows: int, cols: int,
+                  in_channels: int, out_channels: int,
                   feasible: np.ndarray, ic_t: np.ndarray,
                   oc_t: np.ndarray, ar: np.ndarray, ac: np.ndarray,
                   n_pw_out: np.ndarray, cycles: np.ndarray) -> None:
@@ -98,7 +97,7 @@ def finish_kernel(area: np.ndarray, windows: np.ndarray,
         for j in range(width):
             ic_per = r // np.int64(area[i, j])              # eq. 4 (floor)
             oc_per = c // np.int64(windows[i, j])           # eq. 6 (floor)
-            ok = fits_ifm[i, j] and ic_per >= 1 and oc_per >= 1
+            ok = ic_per >= 1 and oc_per >= 1
             feasible[i, j] = ok
             if ok:
                 ict = ic_per if ic_per < ic else ic         # eq. 4 (cap)

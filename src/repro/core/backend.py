@@ -92,8 +92,8 @@ class Backend:
     name: str = "abstract"
 
     def finish(self, area: np.ndarray, windows: np.ndarray,
-               n_pw: np.ndarray, fits_ifm: np.ndarray,
-               rows: int, cols: int, in_channels: int, out_channels: int,
+               n_pw: np.ndarray, rows: int, cols: int,
+               in_channels: int, out_channels: int,
                dtype: np.dtype) -> Tuple[np.ndarray, ...]:
         """Eqs. 4-8 over one window grid for one array geometry.
 
@@ -130,8 +130,8 @@ class NumpyBackend(Backend):
     name = "numpy"
 
     def finish(self, area: np.ndarray, windows: np.ndarray,
-               n_pw: np.ndarray, fits_ifm: np.ndarray,
-               rows: int, cols: int, in_channels: int, out_channels: int,
+               n_pw: np.ndarray, rows: int, cols: int,
+               in_channels: int, out_channels: int,
                dtype: np.dtype) -> Tuple[np.ndarray, ...]:
         dt = np.dtype(dtype)
         area = area.astype(dt, copy=False)
@@ -144,7 +144,7 @@ class NumpyBackend(Backend):
 
         ic_per_array = r // area                            # eq. 4 (floor)
         oc_per_array = c // windows                         # eq. 6 (floor)
-        feasible = fits_ifm & (ic_per_array >= 1) & (oc_per_array >= 1)
+        feasible = (ic_per_array >= 1) & (oc_per_array >= 1)
 
         ic_t = np.minimum(ic_per_array, ic)                 # eq. 4 (cap)
         oc_t = np.minimum(oc_per_array, oc)                 # eq. 6 (cap)
@@ -247,8 +247,8 @@ class NumbaBackend(Backend):
     # pragma-free bodies below run only under numba in practice; the
     # interpreted twins are covered via _kernels-level tests.
     def finish(self, area: np.ndarray, windows: np.ndarray,
-               n_pw: np.ndarray, fits_ifm: np.ndarray,
-               rows: int, cols: int, in_channels: int, out_channels: int,
+               n_pw: np.ndarray, rows: int, cols: int,
+               in_channels: int, out_channels: int,
                dtype: np.dtype) -> Tuple[np.ndarray, ...]:
         dt = np.dtype(dtype)
         shape = area.shape
@@ -259,9 +259,9 @@ class NumbaBackend(Backend):
         ac = np.empty(shape, dtype=dt)
         n_pw_out = np.empty(shape, dtype=dt)
         cycles = np.empty(shape, dtype=dt)
-        self._finish(area, windows, n_pw, fits_ifm, rows, cols,
-                     in_channels, out_channels, feasible, ic_t, oc_t,
-                     ar, ac, n_pw_out, cycles)
+        self._finish(area, windows, n_pw, rows, cols, in_channels,
+                     out_channels, feasible, ic_t, oc_t, ar, ac, n_pw_out,
+                     cycles)
         return feasible, ic_t, oc_t, ar, ac, n_pw_out, cycles
 
     def geo_cycles(self, rows: np.ndarray, cols: np.ndarray,

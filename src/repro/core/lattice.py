@@ -36,9 +36,9 @@ array               paper equation
 ``oc_t``            eq. 6: ``min(floor(cols / N_w^P), OC)``
 ``ac``              eq. 7: ``ceil(OC / OC_t)``
 ``cycles``          eq. 8: ``n_pw * ar * ac``
-``feasible``        mask: window fits the padded IFM, hosts >= 1 input
-                    channel in the rows and >= 1 output channel in the
-                    columns
+``feasible``        mask: window hosts >= 1 input channel in the rows
+                    and >= 1 output channel in the columns (every
+                    window on the grid fits the padded IFM)
 ==================  =====================================================
 
 Infeasible cells hold 0 in every derived array; use
@@ -210,12 +210,13 @@ class LayerLattice:
     """The array-independent half of a :class:`CycleLattice`.
 
     Everything eqs. 1-8 need that does *not* depend on the array
-    geometry — the window/pixel axes, per-cell areas, windows-per-PW,
-    the eq. 3 position counts and the fits-the-IFM mask — evaluated
-    once per layer geometry.  :meth:`with_array` applies the remaining
-    array-dependent equations (4-8: two integer-divide maps plus caps
-    and ceil-divides), so a sweep over array shapes shares every grid
-    but those.
+    geometry — the window/pixel axes, per-cell areas, windows-per-PW
+    and the eq. 3 position counts — evaluated once per layer geometry.
+    Every cell fits the padded IFM (``nw <= OFM`` gives ``K + (nw-1)*s
+    <= IFM``), so feasibility is array-dependent only.
+    :meth:`with_array` applies the remaining array-dependent equations
+    (4-8: two integer-divide maps plus caps and ceil-divides), so a
+    sweep over array shapes shares every grid but those.
 
     Grids are cached per layer *geometry* (channels, stride and padding
     included; ``name``/``repeats`` excluded) and shared between
@@ -237,8 +238,6 @@ class LayerLattice:
     windows: np.ndarray
     #: Eq. 3 parallel-window position count per cell.
     n_pw: np.ndarray
-    #: Array-independent feasibility: the window fits the padded IFM.
-    fits_ifm: np.ndarray
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -276,9 +275,8 @@ class LayerLattice:
         layer = self.layer
         be = get_backend("auto" if backend is None else backend)
         feasible, ic_t, oc_t, ar, ac, n_pw, cycles = be.finish(
-            self.area, self.windows, self.n_pw, self.fits_ifm,
-            array.rows, array.cols, layer.in_channels, layer.out_channels,
-            self.finish_dtype(array))
+            self.area, self.windows, self.n_pw, array.rows, array.cols,
+            layer.in_channels, layer.out_channels, self.finish_dtype(array))
         return CycleLattice(
             layer=layer, array=array, nw_h=self.nw_h, nw_w=self.nw_w,
             pw_h=self.pw_h, pw_w=self.pw_w, feasible=feasible,
@@ -323,11 +321,9 @@ def _compute_layer_grids(layer: ConvLayer) -> Tuple[np.ndarray, ...]:
     windows = nw_h[:, None] * nw_w[None, :]
     n_pw = ((-(-layer.ofm_h // nw_h))[:, None]
             * (-(-layer.ofm_w // nw_w))[None, :])           # eq. 3
-    fits_ifm = ((pw_h[:, None] <= layer.padded_ifm_h)
-                & (pw_w[None, :] <= layer.padded_ifm_w))
 
     grids = (nw_h, nw_w, pw_h, pw_w, _minimized(area),
-             _minimized(windows), _minimized(n_pw), fits_ifm)
+             _minimized(windows), _minimized(n_pw))
     frozen_arrays(grids)  # shared across cached lattices
     return grids
 

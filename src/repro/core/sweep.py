@@ -85,9 +85,9 @@ _FRONT_MEMO: LRUMemo = LRUMemo(maxsize=64)
 
 def _compute_window_front(layer: ConvLayer) -> np.ndarray:
     grids = layer_lattice(layer)
-    ok = grids.fits_ifm.ravel().copy()
-    ok[0] = False  # the kernel-sized cell: im2col covers it
-    candidates = np.flatnonzero(ok)
+    # Every cell but the kernel-sized one (im2col covers it); every
+    # window on the grid fits the padded IFM.
+    candidates = np.arange(1, grids.n_pw.size, dtype=np.int64)
     # The 3-D dominance prune: a cell dominated in all of
     # (n_pw, area, windows) — equality allowed, at least one strict —
     # can never be the eq. 8 minimum on any array, so only front cells
@@ -103,8 +103,8 @@ def _window_front(layer: ConvLayer) -> np.ndarray:
     """Cached flat indices of *layer*'s candidate-window Pareto front.
 
     Indices point into the row-major flattened window grid; the
-    kernel-sized cell ``[0, 0]`` and windows overflowing the padded
-    IFM are excluded up front (Algorithm 1's candidate space).
+    kernel-sized cell ``[0, 0]`` is excluded up front (Algorithm 1's
+    candidate space).
     """
     key = (layer.ifm_h, layer.ifm_w, layer.kernel_h, layer.kernel_w,
            layer.stride, layer.padding)

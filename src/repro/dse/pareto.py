@@ -255,7 +255,7 @@ def zoo_pareto(networks: Optional[Sequence[str]] = None,
             for name in names}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChipDesignPoint:
     """One chip deployment on the cells / energy / latency frontier.
 
@@ -283,6 +283,20 @@ class ChipDesignPoint:
     solutions: Tuple[MappingSolution, ...] = field(
         default=(), repr=False, compare=False)
     accuracy_proxy: Optional[float] = field(default=None, compare=False)
+
+    def __init__(self, pool: str, num_arrays: int, cells: int,
+                 energy_nj: float, bottleneck_cycles: int,
+                 latency_us: float,
+                 solutions: Tuple[MappingSolution, ...] = (),
+                 accuracy_proxy: Optional[float] = None) -> None:
+        # The generated frozen __init__ pays one object.__setattr__ per
+        # field; a front builds thousands of points, so fill the
+        # instance dict in one call.
+        self.__dict__.update(
+            pool=pool, num_arrays=num_arrays, cells=cells,
+            energy_nj=energy_nj, bottleneck_cycles=bottleneck_cycles,
+            latency_us=latency_us, solutions=solutions,
+            accuracy_proxy=accuracy_proxy)
 
     @property
     def objectives(self) -> Tuple[int, float, int]:
@@ -317,10 +331,13 @@ def chip_pareto(network: Network,
     candidate plan (one homogeneous plan per usable geometry, plus the
     heterogeneous best-fit plan when ``pools=True``) is priced once at
     the closed-form breakpoint budgets of its memoized
-    :class:`~repro.chip.sweep.ChipLattice`
+    :class:`~repro.chip.sweep.ChipLattice`, which
+    :func:`~repro.chip.pools.pool_plans` hands over on the plan, so no
+    lattice is looked up twice
     (:meth:`~repro.chip.sweep.ChipLattice.frontier_sweep`: at each
     budget the greedy holds exactly ``ceil(n_pw / L)`` replicas per
-    stage, so no greedy is replayed).  The union's ``(cells,
+    stage, so no greedy is replayed; each lattice keeps its uncapped
+    rows and a cap reads a prefix).  The union's ``(cells,
     energy_nj, bottleneck_cycles)`` rows, plans in order and budgets
     ascending, go through one skyline prune, and
     :class:`ChipDesignPoint` objects are built only for the rows it
@@ -388,8 +405,8 @@ def chip_pareto(network: Network,
     plan_keys: List[Tuple[str, Tuple[MappingSolution, ...]]] = []
     sweeps = []
     for plan in plans:
-        lattice = eng.chip_lattice(layers, plan.arrays, scheme,
-                                   cost_params=params)
+        lattice = plan.lattice  # looked up once, by pool_plans
+        assert lattice is not None
         sweep = lattice.frontier_sweep(max_arrays)
         if len(sweep):  # else even the residency floor exceeds max_arrays
             plan_keys.append((plan.label, lattice.solutions))
@@ -419,14 +436,14 @@ def chip_pareto(network: Network,
             column[meets] for column in (plan_of, num_arrays, cells,
                                          energy, bottleneck, latency))
     kept = _non_dominated(np.column_stack((cells, energy, bottleneck)))
-    front = [ChipDesignPoint(pool=plan_keys[p][0], num_arrays=n, cells=c,
-                             energy_nj=e, bottleneck_cycles=b,
-                             latency_us=u, solutions=plan_keys[p][1])
+    # Cells ascending, bottleneck descending, then energy; stable.
+    kept = kept[np.lexsort((energy[kept], -bottleneck[kept], cells[kept]))]
+    front = [ChipDesignPoint(plan_keys[p][0], n, c, e, b, u,
+                             plan_keys[p][1])
              for p, n, c, e, b, u in zip(*(
                  column[kept].tolist() for column in (
                      plan_of, num_arrays, cells, energy, bottleneck,
                      latency)))]
-    front.sort(key=lambda p: (p.cells, -p.bottleneck_cycles, p.energy_nj))
     if fidelity is not None and fidelity is not False:
         from ..pim.replay import FidelitySpec
         spec = FidelitySpec.of(fidelity)

@@ -19,15 +19,21 @@ from .grouped_exec import (
 )
 from .noise import ComposedNoise, LognormalNoise, NoNoise, StuckCells, make_noise
 from .reference import conv2d_naive, conv2d_reference, pad_ifm
-from .replay import (
-    FidelityReport,
-    FidelitySpec,
-    StageFidelity,
-    replay_point,
-    replay_stage,
-    stage_inputs,
-)
 from .trace import CycleRecord, ExecutionTrace
+
+#: Names of :mod:`.replay`, imported on first access (PEP 562): runpy
+#: warns when ``python -m repro.pim.replay`` finds the module already
+#: imported by its package.
+_REPLAY_NAMES = ("FidelityReport", "FidelitySpec", "StageFidelity",
+                 "replay_point", "replay_stage", "stage_inputs")
+
+
+def __getattr__(name: str) -> object:
+    if name in _REPLAY_NAMES:
+        from . import replay
+        return getattr(replay, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Crossbar",

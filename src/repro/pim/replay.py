@@ -316,15 +316,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from ..core.array import PIMArray
     from ..dse.pareto import chip_pareto
     from ..networks.zoo import get_network
-    # Under ``python -m`` this file runs as ``__main__``; build the spec
-    # from the canonically-imported module so downstream isinstance
-    # checks (FidelitySpec.of in chip_pareto) see the same class.
-    from ..pim import replay as _canonical
 
     sides = [int(s) for s in args.sides.split(",") if s]
-    spec = _canonical.FidelitySpec(noise=make_noise(sigma=args.sigma,
-                                                    stuck=args.stuck),
-                                   seed=args.seed)
+    spec = FidelitySpec(noise=make_noise(sigma=args.sigma, stuck=args.stuck),
+                        seed=args.seed)
     engine = MappingEngine()
     front = chip_pareto(get_network(args.network),
                         [PIMArray.square(s) for s in sides],
@@ -354,4 +349,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - module CLI
-    raise SystemExit(main())
+    # Run the imported module's main, not this ``__main__`` copy's, so
+    # isinstance checks downstream (FidelitySpec.of in chip_pareto) see
+    # one FidelitySpec class.
+    from repro.pim.replay import main as _main
+    raise SystemExit(_main())

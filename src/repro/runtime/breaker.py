@@ -150,11 +150,11 @@ class BreakerBackend(Backend):
         return getattr(self.fallback, method)(*args, **kwargs)
 
     def finish(self, area: np.ndarray, windows: np.ndarray,
-               n_pw: np.ndarray, fits_ifm: np.ndarray,
-               rows: int, cols: int, in_channels: int, out_channels: int,
+               n_pw: np.ndarray, rows: int, cols: int,
+               in_channels: int, out_channels: int,
                dtype: np.dtype) -> Tuple[np.ndarray, ...]:
-        return self._call("finish", area, windows, n_pw, fits_ifm, rows,
-                          cols, in_channels, out_channels, dtype)
+        return self._call("finish", area, windows, n_pw, rows, cols,
+                          in_channels, out_channels, dtype)
 
     def geo_cycles(self, rows: np.ndarray, cols: np.ndarray,
                    n_win: np.ndarray, im2col_rows: np.ndarray,

@@ -350,7 +350,20 @@ class MappingServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        """One keep-alive connection: serve requests until close/EOF."""
+        """One keep-alive connection: serve requests until close/EOF.
+
+        Only the shutdown drain cancels a connection's task, and it may
+        find the handler anywhere, the close handshake included; the
+        task then ends normally, because the stream protocol's done
+        callback would log a cancelled task as an error.
+        """
+        try:
+            await self._serve_connection(reader, writer)
+        except asyncio.CancelledError:
+            pass  # shutdown drain: nothing is left to answer
+
+    async def _serve_connection(self, reader: asyncio.StreamReader,
+                                writer: asyncio.StreamWriter) -> None:
         try:
             while True:
                 keep_alive = await self._handle_one(reader, writer)
@@ -359,10 +372,6 @@ class MappingServer:
         except (ConnectionError, asyncio.IncompleteReadError,
                 asyncio.LimitOverrunError):
             pass  # client went away mid-request: nothing to answer
-        except asyncio.CancelledError:
-            # Shutdown drain: complete quietly so the stream protocol's
-            # done-callback doesn't re-raise the cancellation as noise.
-            pass
         finally:
             writer.close()
             try:

@@ -32,7 +32,7 @@ from repro.api import BatchRequest, MappingEngine, MappingRequest
 from repro.core import ConfigurationError, ConvLayer, PIMArray
 from repro.networks import resnet18, vgg16
 from repro.runtime import SolutionStore
-from repro.server import ServerThread
+from repro.server import MappingServer, ServerThread
 from repro.server.worker import (error_payload, run_chip_pareto, run_map,
                                  run_network_sweep, status_for)
 
@@ -597,3 +597,41 @@ class TestWorkerProcesses:
         assert "serving on" not in proc.stdout
         assert proc.stderr.strip() == \
             "serve: cache_size must be >= 0, got -1"
+
+
+class TestShutdownDrain:
+    def test_drain_cancelling_the_close_handshake_ends_quietly(self):
+        """The drain may cancel a handler parked in ``wait_closed``; the
+        handler must still end normally, or the stream protocol's done
+        callback (mirrored here) logs the cancellation as an error."""
+        class StubWriter:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+            async def wait_closed(self):
+                await asyncio.Event().wait()  # a handshake that never ends
+
+        async def scenario(logged):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: logged.append(context))
+            reader = asyncio.StreamReader()
+            reader.feed_eof()  # the client hung up: no request to serve
+            writer = StubWriter()
+            task = asyncio.ensure_future(
+                MappingServer(workers=1)._handle_connection(reader, writer))
+            task.add_done_callback(lambda done: done.exception())
+            for _ in range(10):  # let it reach the close handshake
+                await asyncio.sleep(0)
+            assert writer.closed and not task.done()
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            await asyncio.sleep(0)  # run the done callback
+            return task
+
+        logged: list = []
+        task = asyncio.run(scenario(logged))
+        assert not task.cancelled()
+        assert task.exception() is None
+        assert logged == []
